@@ -1,6 +1,7 @@
 //! Label-free precision estimation under the reference-table assumption.
 
 use panda_table::{CandidateSet, RecordId};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// The outcome of estimating one join rule (config + threshold).
@@ -59,6 +60,66 @@ pub fn estimate_precision(
     }
 }
 
+/// [`estimate_precision`] at every threshold of `thresholds`, in one pass
+/// over `scored`. Each score is bucketed by how many thresholds it clears
+/// (the same `score < threshold` test), then the buckets are swept from
+/// the highest threshold down, adding each one's pairs to dense
+/// per-right-record counts; a pair whose right record is already joined
+/// is one more violation. The estimates are equal, bit for bit, to calling
+/// [`estimate_precision`] per threshold. `n_right` bounds the right record
+/// ids. A grid that is not ascending (or holds NaN) is estimated one
+/// threshold at a time instead.
+pub fn estimate_precision_grid(
+    scored: &[(usize, f64)],
+    candidates: &CandidateSet,
+    thresholds: &[f64],
+    n_right: usize,
+) -> Vec<PrecisionEstimate> {
+    if !thresholds.windows(2).all(|w| w[0] <= w[1]) || thresholds.iter().any(|t| t.is_nan()) {
+        return thresholds
+            .iter()
+            .map(|&t| estimate_precision(scored, candidates, t))
+            .collect();
+    }
+    // buckets[c - 1]: right records of the pairs clearing exactly the
+    // first `c` thresholds (pairs clearing none are never joined).
+    let mut buckets: Vec<Vec<RecordId>> = vec![Vec::new(); thresholds.len()];
+    for &(idx, score) in scored {
+        // `!(score < t)`, spelled so a NaN score clears every threshold.
+        let cleared = thresholds.partition_point(|t| score.partial_cmp(t) != Some(Ordering::Less));
+        if cleared > 0 {
+            let pair = candidates.get(idx).expect("scored index in range");
+            buckets[cleared - 1].push(pair.right);
+        }
+    }
+    let mut per_right = vec![0u32; n_right];
+    let (mut joined, mut violations) = (0usize, 0usize);
+    let mut out: Vec<PrecisionEstimate> = buckets
+        .iter()
+        .rev()
+        .map(|bucket| {
+            for right in bucket {
+                let count = &mut per_right[right.idx()];
+                violations += usize::from(*count > 0);
+                *count += 1;
+            }
+            joined += bucket.len();
+            PrecisionEstimate {
+                joined,
+                violations,
+                est_precision: if joined == 0 {
+                    1.0
+                } else {
+                    1.0 - violations as f64 / joined as f64
+                },
+                est_support: joined - violations,
+            }
+        })
+        .collect();
+    out.reverse();
+    out
+}
+
 /// Estimate the union of several join rules: the union of their joined
 /// pair sets, evaluated with the same uniqueness counting.
 pub fn estimate_union(joined_sets: &[&Vec<usize>], candidates: &CandidateSet) -> PrecisionEstimate {
@@ -94,6 +155,7 @@ pub fn estimate_union(joined_sets: &[&Vec<usize>], candidates: &CandidateSet) ->
 mod tests {
     use super::*;
     use panda_table::CandidatePair;
+    use proptest::prelude::*;
 
     fn cands() -> CandidateSet {
         // right record 0 is reachable from left 0 and left 1.
@@ -141,6 +203,41 @@ mod tests {
         assert_eq!(e.joined, 0);
         assert_eq!(e.est_precision, 1.0);
         assert_eq!(e.est_support, 0);
+    }
+
+    proptest! {
+        /// The one-pass grid equals one `estimate_precision` call per
+        /// threshold, bit for bit, on ascending and unsorted grids.
+        #[test]
+        fn grid_equals_per_threshold_estimates(
+            scores in proptest::collection::vec(
+                prop_oneof![
+                    Just(-1.0f64),
+                    Just(f64::NAN),
+                    (0u32..=20).prop_map(|x| f64::from(x) / 20.0),
+                ],
+                24,
+            ),
+            rights in proptest::collection::vec(0u32..5, 24),
+            unsorted in any::<bool>(),
+        ) {
+            let cands = CandidateSet::from_pairs(
+                rights.iter().enumerate().map(|(l, &r)| CandidatePair::new(l as u32, r)),
+            );
+            let scored: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+            let mut thresholds: Vec<f64> = (5..=19).map(|i| i as f64 * 0.05).collect();
+            if unsorted {
+                thresholds.swap(0, 7);
+            }
+            let grid = estimate_precision_grid(&scored, &cands, &thresholds, 5);
+            for (k, &t) in thresholds.iter().enumerate() {
+                let one = estimate_precision(&scored, &cands, t);
+                prop_assert_eq!(grid[k].joined, one.joined);
+                prop_assert_eq!(grid[k].violations, one.violations);
+                prop_assert_eq!(grid[k].est_support, one.est_support);
+                prop_assert_eq!(grid[k].est_precision.to_bits(), one.est_precision.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -51,29 +51,16 @@ fn bench_text(c: &mut Criterion) {
     g.bench_function("sim/levenshtein", |b| {
         b.iter(|| black_box(sim::levenshtein(black_box(NAME_A), black_box(NAME_B))));
     });
-    g.bench_function("sim/levenshtein_bounded_4", |b| {
-        b.iter(|| {
-            black_box(sim::levenshtein_bounded(
-                black_box(NAME_A),
-                black_box(NAME_B),
-                4,
-            ))
-        });
+    // Both inputs past 64 chars: the multi-block bit-parallel path.
+    let desc_b = DESC.replace("flat panel", "flat-screen");
+    g.bench_function("sim/levenshtein_long", |b| {
+        b.iter(|| black_box(sim::levenshtein(black_box(DESC), black_box(&desc_b))));
     });
     g.bench_function("sim/jaro_winkler", |b| {
         b.iter(|| black_box(sim::jaro_winkler(black_box(NAME_A), black_box(NAME_B))));
     });
     g.bench_function("sim/monge_elkan_jw", |b| {
         b.iter(|| black_box(sim::monge_elkan_sym(&ta, &tb, sim::jaro_winkler)));
-    });
-    g.bench_function("sim/levenshtein_exceeds_0.8", |b| {
-        b.iter(|| {
-            black_box(sim::levenshtein_similarity_exceeds(
-                black_box(NAME_A),
-                black_box(NAME_B),
-                0.8,
-            ))
-        });
     });
     g.finish();
 }

@@ -15,10 +15,11 @@
 //! * [`ClosureLf`] — anything else, from a Rust closure (the stand-in for
 //!   arbitrary user Python in the original system).
 
-use crate::lf::{LabelingFunction, LfProvenance};
+use crate::lf::{per_referenced_record, LabelingFunction, LfProvenance, PairVoter};
 use crate::Label;
-use panda_table::PairRef;
-use panda_text::{CorpusStats, SimilarityConfig};
+use panda_table::{CandidateSet, PairRef, Side, TablePair};
+use panda_text::{CorpusStats, PreparedColumn, SimilarityConfig};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -143,6 +144,18 @@ impl SimilarityLf {
         )
     }
 
+    /// The vote for a score: `> upper` → +1, `< lower` → −1, otherwise
+    /// (NaN included) abstain.
+    fn vote(&self, score: f64) -> Label {
+        if score > self.upper {
+            Label::Match
+        } else if score < self.lower {
+            Label::NonMatch
+        } else {
+            Label::Abstain
+        }
+    }
+
     /// Current thresholds `(upper, lower)`.
     pub fn thresholds(&self) -> (f64, f64) {
         (self.upper, self.lower)
@@ -163,24 +176,44 @@ impl LabelingFunction for SimilarityLf {
     }
 
     fn label(&self, pair: &PairRef<'_>) -> Label {
-        let l = pair.left.get(&self.left_attr);
-        let r = pair.right.get(&self.right_attr);
-        if l.is_missing() || r.is_missing() {
-            return Label::Abstain;
+        match self.score(pair) {
+            Some(s) => self.vote(s),
+            None => Label::Abstain,
         }
-        // classify_thresholds == scoring then comparing, but edit-distance
-        // measures get the banded DP instead of the full one.
-        match self.config.classify_thresholds(
-            &l.to_text(),
-            &r.to_text(),
-            self.stats.as_deref(),
-            self.upper,
-            self.lower,
-        ) {
-            std::cmp::Ordering::Greater => Label::Match,
-            std::cmp::Ordering::Less => Label::NonMatch,
-            std::cmp::Ordering::Equal => Label::Abstain,
-        }
+    }
+
+    /// Preprocess, tokenize and weight each referenced record's cell once
+    /// (only what the measure reads), then vote each pair with
+    /// `score_prepared` and the same threshold comparisons as `label`.
+    fn prepare<'a>(&'a self, tables: &'a TablePair, candidates: &CandidateSet) -> PairVoter<'a> {
+        // Missing cells are `None`, like records no pair references: both
+        // read as blank and abstain.
+        let [left, right] = per_referenced_record(tables, candidates, |side, rec| {
+            let attr = match side {
+                Side::Left => &self.left_attr,
+                Side::Right => &self.right_attr,
+            };
+            let v = rec.get(attr);
+            (!v.is_missing()).then(|| {
+                v.as_text()
+                    .map_or_else(|| Cow::Owned(v.to_text()), Cow::Borrowed)
+            })
+        });
+        let prepare = |texts: Vec<Option<Option<Cow<'_, str>>>>| {
+            let texts: Vec<Option<Cow<'_, str>>> = texts.into_iter().map(Option::flatten).collect();
+            PreparedColumn::build_for(&texts, &self.config, self.stats.as_deref())
+        };
+        let (left, right) = (prepare(left), prepare(right));
+        PairVoter::prepared(move |pair| {
+            let (li, ri) = (pair.left.idx(), pair.right.idx());
+            if li >= left.len() || ri >= right.len() || left.is_blank(li) || right.is_blank(ri) {
+                return Label::Abstain;
+            }
+            self.vote(
+                self.config
+                    .score_prepared(&left.record(li), &right.record(ri)),
+            )
+        })
     }
 
     fn description(&self) -> String {
@@ -265,16 +298,9 @@ impl ExtractionLf {
         let text: Vec<String> = self.attrs.iter().map(|a| rec.text(a)).collect();
         (self.extract)(&text.join(" "))
     }
-}
 
-impl LabelingFunction for ExtractionLf {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn label(&self, pair: &PairRef<'_>) -> Label {
-        let a = self.gather(&pair.left);
-        let b = self.gather(&pair.right);
+    /// The vote for two sides' extracted keys.
+    fn decide(&self, a: &[String], b: &[String]) -> Label {
         if a.is_empty() || b.is_empty() {
             return Label::Abstain;
         }
@@ -285,6 +311,32 @@ impl LabelingFunction for ExtractionLf {
             (false, ExtractionPolicy::MatchOnly) => Label::Abstain,
             (false, _) => Label::NonMatch,
         }
+    }
+}
+
+impl LabelingFunction for ExtractionLf {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn label(&self, pair: &PairRef<'_>) -> Label {
+        self.decide(&self.gather(&pair.left), &self.gather(&pair.right))
+    }
+
+    /// Run the extractor once per referenced record (extractors are
+    /// assumed pure: the same text always extracts the same keys), then
+    /// compare the stored extractions per pair.
+    fn prepare<'a>(&'a self, tables: &'a TablePair, candidates: &CandidateSet) -> PairVoter<'a> {
+        let [left, right] = per_referenced_record(tables, candidates, |_, rec| self.gather(&rec));
+        fn keys(side: &[Option<Vec<String>>], i: usize) -> Option<&[String]> {
+            side.get(i)?.as_deref()
+        }
+        PairVoter::prepared(move |pair| {
+            match (keys(&left, pair.left.idx()), keys(&right, pair.right.idx())) {
+                (Some(a), Some(b)) => self.decide(a, b),
+                _ => Label::Abstain,
+            }
+        })
     }
 
     fn description(&self) -> String {
@@ -578,5 +630,219 @@ mod tests {
         let p = pair(&tp, 0, 0);
         assert_eq!(loose.label(&p), Label::Match);
         assert_eq!(tight.label(&p), Label::Abstain);
+    }
+}
+
+/// The prepared voters against per-pair `label`, pair by pair.
+#[cfg(test)]
+mod prepared_equivalence {
+    use super::*;
+    use crate::{LabelMatrix, LfRegistry};
+    use panda_table::{CandidatePair, Schema, Table, Value};
+    use panda_text::{Measure, Preprocess, Tokenizer, Weighting};
+    use proptest::prelude::*;
+
+    /// Cells of every kind a column can hold, including the ones that
+    /// must abstain (null, empty, whitespace-only) and non-text values.
+    fn cell() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            Just(Value::Text(String::new())),
+            Just(Value::Text("  \t ".to_string())),
+            (0i64..60).prop_map(Value::Int),
+            (0u32..400).prop_map(|x| Value::Float(f64::from(x) / 8.0)),
+            "[a-cé ]{1,10}".prop_map(Value::Text),
+            prop::sample::select(vec![
+                "Sony Bravia 40' LCD TV",
+                "sony bravia 40in lcd tv",
+                "LG 55 inch OLED, black",
+                "Connecting connected connects",
+            ])
+            .prop_map(|s| Value::Text(s.to_string())),
+        ]
+    }
+
+    /// Two small tables over `(name, title)` and every pair between them,
+    /// plus one pair whose right record does not exist.
+    fn task(left: Vec<(Value, Value)>, right: Vec<(Value, Value)>) -> (TablePair, CandidateSet) {
+        let table = |name: &str, rows: Vec<(Value, Value)>| {
+            let mut t = Table::new(name, Schema::of_text(&["name", "title"]));
+            for (a, b) in rows {
+                t.push_row(vec![a, b]).unwrap();
+            }
+            t
+        };
+        let (nl, nr) = (left.len() as u32, right.len() as u32);
+        let tables = TablePair::new(table("l", left), table("r", right));
+        let mut pairs: Vec<CandidatePair> = (0..nl)
+            .flat_map(|l| (0..nr).map(move |r| CandidatePair::new(l, r)))
+            .collect();
+        pairs.push(CandidatePair::new(0, nr + 3));
+        (tables, CandidateSet::from_pairs(pairs))
+    }
+
+    fn assert_voter_matches_label(
+        lf: &dyn LabelingFunction,
+        tables: &TablePair,
+        cands: &CandidateSet,
+    ) -> Result<(), TestCaseError> {
+        let voter = lf.prepare(tables, cands);
+        prop_assert!(voter.is_prepared(), "{} took the fallback", lf.name());
+        for &pair in cands.pairs() {
+            let expected = tables
+                .pair_ref(pair)
+                .map_or(Label::Abstain, |p| lf.label(&p));
+            // No shrinking (fixed seed, 0x70616e6461): print the cells.
+            prop_assert_eq!(
+                voter.vote(pair),
+                expected,
+                "{} on {:?}: {:?}",
+                lf.description(),
+                pair,
+                tables
+                    .pair_ref(pair)
+                    .map(|p| (p.left.values(), p.right.values()))
+            );
+        }
+        Ok(())
+    }
+
+    fn corpus(tables: &TablePair, tokenizer: Tokenizer) -> Arc<CorpusStats> {
+        let mut stats = CorpusStats::new();
+        for table in [&tables.left, &tables.right] {
+            for rec in table.records() {
+                stats.add_document(&tokenizer.tokens(&rec.text("name").to_lowercase()));
+            }
+        }
+        Arc::new(stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every measure × tokenizer × weighting, with and without a
+        /// TF-IDF corpus, on one attribute or across two, under ordinary,
+        /// inverted and NaN thresholds.
+        #[test]
+        fn similarity_voter_equals_label(
+            left in prop::collection::vec((cell(), cell()), 1..6),
+            right in prop::collection::vec((cell(), cell()), 1..6),
+        ) {
+            let (tables, cands) = task(left, right);
+            let measures = [
+                Measure::Jaccard,
+                Measure::Cosine,
+                Measure::Dice,
+                Measure::Overlap,
+                Measure::Levenshtein,
+                Measure::JaroWinkler,
+                Measure::MongeElkan,
+            ];
+            let thresholds = [(0.5, 0.2), (0.2, 0.5), (f64::NAN, 0.3), (0.6, f64::NAN)];
+            for measure in measures {
+                for tokenizer in [Tokenizer::Whitespace, Tokenizer::QGram(3)] {
+                    let stats = corpus(&tables, tokenizer);
+                    for weighting in [Weighting::Uniform, Weighting::Tf, Weighting::TfIdf] {
+                        let config = SimilarityConfig {
+                            preprocess: vec![
+                                Preprocess::Lowercase,
+                                Preprocess::StripPunctuation,
+                                Preprocess::Stem,
+                                Preprocess::NormalizeWhitespace,
+                            ],
+                            tokenizer,
+                            weighting,
+                            measure,
+                        };
+                        for (upper, lower) in thresholds {
+                            let same = SimilarityLf::new("sim", "name", config.clone(), upper, lower);
+                            let across = same.clone().with_attrs("name", "title");
+                            for lf in [same.clone(), same.with_corpus(stats.clone()), across] {
+                                assert_voter_matches_label(&lf, &tables, &cands)?;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Extraction LFs under all three policies.
+        #[test]
+        fn extraction_voter_equals_label(
+            left in prop::collection::vec((cell(), cell()), 1..6),
+            right in prop::collection::vec((cell(), cell()), 1..6),
+        ) {
+            let (tables, cands) = task(left, right);
+            for policy in [
+                ExtractionPolicy::UnmatchOnly,
+                ExtractionPolicy::Symmetric,
+                ExtractionPolicy::MatchOnly,
+            ] {
+                let lf = ExtractionLf::new("digits", &["name", "title"], policy, |t| {
+                    t.split(|c: char| !c.is_ascii_digit())
+                        .filter(|w| !w.is_empty())
+                        .map(str::to_string)
+                        .collect()
+                });
+                assert_voter_matches_label(&lf, &tables, &cands)?;
+                let sizes = ExtractionLf::size_unmatch(&["name"]);
+                assert_voter_matches_label(&sizes, &tables, &cands)?;
+            }
+        }
+    }
+
+    fn poison_lf() -> ExtractionLf {
+        ExtractionLf::new("poisoned", &["name"], ExtractionPolicy::Symmetric, |t| {
+            assert!(!t.contains("poison"), "extractor hit a poison record");
+            vec![t.to_string()]
+        })
+    }
+
+    fn poison_task(poison_in_a_pair: bool) -> (TablePair, CandidateSet) {
+        let text = |s: &str| (Value::Text(s.to_string()), Value::Null);
+        let (tables, _) = task(
+            vec![text("tv"), text("radio"), text("poison")],
+            vec![text("tv"), text("radio")],
+        );
+        let mut pairs = vec![
+            CandidatePair::new(0, 0),
+            CandidatePair::new(0, 1),
+            CandidatePair::new(1, 1),
+        ];
+        if poison_in_a_pair {
+            pairs.push(CandidatePair::new(2, 0));
+        }
+        (tables, CandidateSet::from_pairs(pairs))
+    }
+
+    /// Only referenced records are prepared: an extractor that panics on
+    /// a record outside every candidate pair does not quarantine the LF.
+    #[test]
+    fn unreferenced_poison_record_does_not_quarantine() {
+        let (tables, cands) = poison_task(false);
+        let mut reg = LfRegistry::new();
+        reg.upsert(Arc::new(poison_lf()));
+        let mut matrix = LabelMatrix::new();
+        let report = matrix.apply(&reg, &tables, &cands);
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        assert_eq!(matrix.column("poisoned").unwrap(), &[1, -1, 1]);
+    }
+
+    /// A referenced poison record still quarantines, with the same
+    /// message per-pair labeling gives.
+    #[test]
+    fn referenced_poison_record_quarantines_like_label() {
+        let (tables, cands) = poison_task(true);
+        let lf = Arc::new(poison_lf());
+        let per_pair = lf.clone();
+        let mut reg = LfRegistry::new();
+        reg.upsert(lf);
+        reg.upsert(Arc::new(ClosureLf::new("per_pair", move |p| {
+            per_pair.label(p)
+        })));
+        let report = LabelMatrix::new().apply(&reg, &tables, &cands);
+        assert_eq!(report.failed.len(), 2);
+        assert_eq!(report.failed[0].1, report.failed[1].1);
+        assert!(report.failed[0].1.contains("poison record"));
     }
 }

@@ -1,7 +1,7 @@
 //! The LF trait and the life-cycle registry.
 
 use crate::Label;
-use panda_table::PairRef;
+use panda_table::{CandidatePair, CandidateSet, PairRef, Record, Side, TablePair};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,6 +19,18 @@ pub trait LabelingFunction: Send + Sync {
     /// Vote on one pair.
     fn label(&self, pair: &PairRef<'_>) -> Label;
 
+    /// Get ready to vote on every pair of `candidates`: do the per-record
+    /// work once (see [`per_referenced_record`]) and return a voter that
+    /// only combines prepared data per pair. The voter must give exactly
+    /// the label [`LabelingFunction::label`] gives on every pair, and
+    /// abstain on a pair whose records do not exist.
+    ///
+    /// The default voter calls `label` on each pair.
+    fn prepare<'a>(&'a self, tables: &'a TablePair, candidates: &CandidateSet) -> PairVoter<'a> {
+        let _ = candidates;
+        PairVoter::per_pair(self, tables)
+    }
+
     /// One-line human description shown in the LF Stats Panel.
     fn description(&self) -> String {
         self.name().to_string()
@@ -29,6 +41,78 @@ pub trait LabelingFunction: Send + Sync {
     fn provenance(&self) -> LfProvenance {
         LfProvenance::Manual
     }
+}
+
+/// Votes one candidate pair at a time; what [`LabelingFunction::prepare`]
+/// returns. The label matrix drops it once the LF's column is voted.
+pub struct PairVoter<'a> {
+    vote: Box<dyn Fn(CandidatePair) -> Label + Send + Sync + 'a>,
+    prepared: bool,
+}
+
+impl<'a> PairVoter<'a> {
+    /// A voter over data the LF prepared up front.
+    pub fn prepared(vote: impl Fn(CandidatePair) -> Label + Send + Sync + 'a) -> Self {
+        PairVoter {
+            vote: Box::new(vote),
+            prepared: true,
+        }
+    }
+
+    /// The fallback voter: `lf.label` on each pair, abstaining on pairs
+    /// whose records do not exist.
+    pub fn per_pair<L: LabelingFunction + ?Sized>(lf: &'a L, tables: &'a TablePair) -> Self {
+        PairVoter {
+            vote: Box::new(move |pair| {
+                tables
+                    .pair_ref(pair)
+                    .map_or(Label::Abstain, |p| lf.label(&p))
+            }),
+            prepared: false,
+        }
+    }
+
+    /// Vote on one pair.
+    pub fn vote(&self, pair: CandidatePair) -> Label {
+        (self.vote)(pair)
+    }
+
+    /// Whether the voter reads prepared data (false for the per-pair
+    /// fallback).
+    pub fn is_prepared(&self) -> bool {
+        self.prepared
+    }
+}
+
+/// Run `f` once on every record that `candidates` references, per side,
+/// and return the results indexed by record id (`None` for records no
+/// pair references). Only pairs whose two records both exist count, and
+/// records are visited in first-reference order — a pair's left record
+/// before its right — which is the order per-pair labeling would first
+/// touch them, so a panicking `f` fails on the same record it would.
+pub fn per_referenced_record<'t, T>(
+    tables: &'t TablePair,
+    candidates: &CandidateSet,
+    mut f: impl FnMut(Side, Record<'t>) -> T,
+) -> [Vec<Option<T>>; 2] {
+    let mut left: Vec<Option<T>> = std::iter::repeat_with(|| None)
+        .take(tables.left.len())
+        .collect();
+    let mut right: Vec<Option<T>> = std::iter::repeat_with(|| None)
+        .take(tables.right.len())
+        .collect();
+    for &pair in candidates.pairs() {
+        let Ok(p) = tables.pair_ref(pair) else {
+            continue;
+        };
+        if left[pair.left.idx()].is_none() {
+            left[pair.left.idx()] = Some(f(Side::Left, p.left));
+        }
+        if right[pair.right.idx()].is_none() {
+            right[pair.right.idx()] = Some(f(Side::Right, p.right));
+        }
+    }
+    [left, right]
 }
 
 /// LF origin tag.

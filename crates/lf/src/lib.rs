@@ -10,7 +10,9 @@
 //! * [`Label`] — the three-valued vote,
 //! * [`LabelingFunction`] — the LF trait, plus [`LfRegistry`] managing the
 //!   LF life-cycle (add / replace / remove, with versions so re-application
-//!   is incremental, as in the paper's `labeler.apply()`),
+//!   is incremental, as in the paper's `labeler.apply()`); an LF may
+//!   [`prepare`](LabelingFunction::prepare) its per-record work once per
+//!   application and vote pairs from it ([`PairVoter`]),
 //! * [`builders`] — a declarative DSL covering the LF shapes the paper
 //!   shows: similarity-threshold LFs (`name_overlap`), extraction LFs
 //!   (`size_unmatch`), attribute equality, numeric tolerance, and
@@ -57,7 +59,7 @@ pub use builders::{
     AttributeEqualityLf, ClosureLf, ExtractionLf, NumericToleranceLf, SimilarityLf,
 };
 pub use label::Label;
-pub use lf::{BoxedLf, LabelingFunction, LfRegistry};
+pub use lf::{per_referenced_record, BoxedLf, LabelingFunction, LfRegistry, PairVoter};
 pub use library::{address_matcher, organization_matcher, people_matcher, phone_matcher};
 pub use matrix::{ApplyReport, ColumnSnapshot, LabelMatrix, PackedVotes, VOTES_PER_WORD};
 pub use stats::{lf_stats, LfStatsRow};

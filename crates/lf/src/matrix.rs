@@ -1,8 +1,9 @@
 //! The `pairs × LFs` label matrix with incremental application.
 
-use crate::lf::{BoxedLf, LfRegistry};
+use crate::lf::{BoxedLf, LabelingFunction, LfRegistry};
 use crate::Label;
 use panda_table::{CandidateSet, TablePair};
+use std::panic::AssertUnwindSafe;
 
 /// Pairs per work item when applying LFs. A property of the data layout,
 /// *not* of the worker count: results are identical under any
@@ -220,8 +221,9 @@ impl LabelMatrix {
     }
 
     /// Apply the registry to the candidate set, reusing any column whose
-    /// LF version is unchanged. LFs run in parallel; a panicking LF is
-    /// quarantined into [`ApplyReport::failed`].
+    /// LF version is unchanged. LFs are prepared and voted one at a time,
+    /// each over all workers; a panicking LF is quarantined into
+    /// [`ApplyReport::failed`].
     pub fn apply(
         &mut self,
         registry: &LfRegistry,
@@ -261,50 +263,19 @@ impl LabelMatrix {
             }
         }
 
-        // Compute missing columns on the shared executor. Work items are
-        // (LF × pair-block), so an expensive LF's column is spread over
-        // all workers instead of pinning one thread, and a panicking LF
-        // only poisons its own items (quarantine, not crash).
-        let pairs = candidates.pairs();
-        let n_blocks = pairs.len().div_ceil(PAIR_BLOCK).max(1);
+        // Compute missing columns one LF at a time, so only one LF's
+        // prepared data is alive at once. A panicking LF only loses its
+        // own column (quarantine, not crash).
+        let n_pairs = candidates.len();
+        let n_blocks = n_pairs.div_ceil(PAIR_BLOCK).max(1);
         panda_obs::counter_add("lf.matrix.work_items", (jobs.len() * n_blocks) as u64);
-        panda_obs::counter_add(
-            "lf.matrix.labels_computed",
-            (jobs.len() * pairs.len()) as u64,
-        );
-        let results = panda_exec::par_try_map_range(jobs.len() * n_blocks, |item| {
-            let lf = &registry.lfs()[jobs[item / n_blocks]];
-            let start = (item % n_blocks) * PAIR_BLOCK;
-            let end = (start + PAIR_BLOCK).min(pairs.len());
-            let mut out = Vec::with_capacity(end - start);
-            for &pair in &pairs[start..end] {
-                let label = match tables.pair_ref(pair) {
-                    Ok(p) => lf.label(&p),
-                    Err(_) => Label::Abstain,
-                };
-                out.push(label);
-            }
-            out
-        });
-
-        for (j, &idx) in jobs.iter().enumerate() {
+        panda_obs::counter_add("lf.matrix.labels_computed", (jobs.len() * n_pairs) as u64);
+        for idx in jobs {
             let lf = &registry.lfs()[idx];
             let name = lf.name().to_string();
             let version = registry.version(&name).unwrap_or(0);
-            let mut votes = PackedVotes::with_capacity(pairs.len());
-            let mut failure: Option<String> = None;
-            for block in &results[j * n_blocks..(j + 1) * n_blocks] {
-                match block {
-                    Ok(part) => part.iter().for_each(|&l| votes.push(l)),
-                    Err(payload) => {
-                        // First failing block wins (deterministic message).
-                        failure = Some(panic_message(payload.as_ref()));
-                        break;
-                    }
-                }
-            }
-            match failure {
-                None => {
+            match vote_column(lf.as_ref(), tables, candidates) {
+                Ok(votes) => {
                     report.applied.push(name.clone());
                     match self.columns.iter_mut().find(|c| c.name == name) {
                         Some(c) => {
@@ -318,7 +289,7 @@ impl LabelMatrix {
                         }),
                     }
                 }
-                Some(msg) => {
+                Err(msg) => {
                     // Quarantine: drop any stale column, report the panic.
                     self.columns.retain(|c| c.name != name);
                     report.failed.push((name, msg));
@@ -392,41 +363,25 @@ impl LabelMatrix {
             self.n_pairs = candidates.len();
         }
 
-        let pairs = candidates.pairs();
-        let n_blocks = pairs.len().div_ceil(PAIR_BLOCK).max(1);
-        panda_obs::counter_add("lf.matrix.column_work_items", n_blocks as u64);
-        panda_obs::counter_add("lf.matrix.column_labels_computed", pairs.len() as u64);
-        let results = panda_exec::par_try_map_range(n_blocks, |block| {
-            let start = block * PAIR_BLOCK;
-            let end = (start + PAIR_BLOCK).min(pairs.len());
-            let mut out = Vec::with_capacity(end - start);
-            for &pair in &pairs[start..end] {
-                let label = match tables.pair_ref(pair) {
-                    Ok(p) => lf.label(&p),
-                    Err(_) => Label::Abstain,
-                };
-                out.push(label);
-            }
-            out
-        });
-
-        let mut votes = PackedVotes::with_capacity(pairs.len());
-        for block in &results {
-            match block {
-                Ok(part) => part.iter().for_each(|&l| votes.push(l)),
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    if panda_obs::journal_enabled() {
-                        panda_obs::event("lf.column")
-                            .field("lf", lf.name())
-                            .field("action", "quarantined")
-                            .field("error", msg.as_str())
-                            .emit();
-                    }
-                    return Err(msg);
+        let n_pairs = candidates.len();
+        panda_obs::counter_add(
+            "lf.matrix.column_work_items",
+            n_pairs.div_ceil(PAIR_BLOCK).max(1) as u64,
+        );
+        panda_obs::counter_add("lf.matrix.column_labels_computed", n_pairs as u64);
+        let votes = match vote_column(lf.as_ref(), tables, candidates) {
+            Ok(votes) => votes,
+            Err(msg) => {
+                if panda_obs::journal_enabled() {
+                    panda_obs::event("lf.column")
+                        .field("lf", lf.name())
+                        .field("action", "quarantined")
+                        .field("error", msg.as_str())
+                        .emit();
                 }
+                return Err(msg);
             }
-        }
+        };
 
         let name = lf.name().to_string();
         match self.columns.iter_mut().find(|c| c.name == name) {
@@ -574,6 +529,51 @@ pub struct ColumnSnapshot {
     pub version: u64,
     /// Votes, one per candidate pair: `+1` / `0` / `-1`.
     pub labels: Vec<i8>,
+}
+
+/// One LF's label column over the candidate set, shared by
+/// [`LabelMatrix::apply`] and [`LabelMatrix::add_column`]: the LF is
+/// prepared once (span `lf.matrix.prepare`), then its voter runs over
+/// (pair-block) work items on the shared executor, so an expensive LF's
+/// column is spread over all workers. A panic while preparing or voting
+/// quarantines the LF; the error names the first failing step in pair
+/// order, so the message is deterministic.
+fn vote_column(
+    lf: &dyn LabelingFunction,
+    tables: &TablePair,
+    candidates: &CandidateSet,
+) -> Result<PackedVotes, String> {
+    let voter = {
+        let _span = panda_obs::span("lf.matrix.prepare");
+        std::panic::catch_unwind(AssertUnwindSafe(|| lf.prepare(tables, candidates)))
+            .map_err(|payload| panic_message(payload.as_ref()))?
+    };
+    panda_obs::counter_add(
+        if voter.is_prepared() {
+            "lf.matrix.prepared_columns"
+        } else {
+            "lf.matrix.fallback_columns"
+        },
+        1,
+    );
+    let pairs = candidates.pairs();
+    let n_blocks = pairs.len().div_ceil(PAIR_BLOCK).max(1);
+    let results = panda_exec::par_try_map_range(n_blocks, |block| {
+        let start = block * PAIR_BLOCK;
+        let end = (start + PAIR_BLOCK).min(pairs.len());
+        pairs[start..end]
+            .iter()
+            .map(|&pair| voter.vote(pair))
+            .collect::<Vec<Label>>()
+    });
+    let mut votes = PackedVotes::with_capacity(pairs.len());
+    for block in results {
+        match block {
+            Ok(part) => part.into_iter().for_each(|l| votes.push(l)),
+            Err(payload) => return Err(panic_message(payload.as_ref())),
+        }
+    }
+    Ok(votes)
 }
 
 fn fingerprint(candidates: &CandidateSet) -> u64 {

@@ -318,17 +318,10 @@ impl Drop for Span {
                     s.pop();
                 }
             });
-            push_event(Event {
-                seq: 0,
-                ts_us: 0,
-                kind: "span".to_string(),
-                span: id,
-                parent,
-                fields: vec![
-                    ("name".to_string(), FieldValue::from(self.name)),
-                    ("dur_ns".to_string(), FieldValue::U64(ns as u64)),
-                ],
-            });
+            let mut fields = Vec::with_capacity(3);
+            fields.push(("name", StoredValue::Static(self.name)));
+            fields.push(("dur_ns", StoredValue::U64(ns as u64)));
+            push_event("span", id, parent, fields);
         }
     }
 }
@@ -641,7 +634,7 @@ impl Event {
 /// numbers keep counting, so a reader can tell how much history it
 /// missed.
 struct JournalBuf {
-    events: VecDeque<Event>,
+    events: VecDeque<StoredEvent>,
     dropped: u64,
     capacity: usize,
     next_seq: u64,
@@ -671,13 +664,90 @@ pub fn set_request_id(rid: Option<String>) {
     REQUEST_ID.with(|r| *r.borrow_mut() = rid);
 }
 
-fn push_event(mut e: Event) {
+/// A buffered journal event in compact form: kinds, keys and span names
+/// are the `&'static str`s the emitter passed, and the fields are an
+/// exact-size boxed slice, so a buffered span event takes about half the
+/// memory of its [`Event`] form. Readers get [`Event`]s
+/// ([`StoredEvent::to_event`]); the JSON they render is unchanged.
+#[derive(Debug)]
+struct StoredEvent {
+    seq: u64,
+    ts_us: u64,
+    kind: &'static str,
+    span: u64,
+    parent: u64,
+    fields: Box<[(&'static str, StoredValue)]>,
+}
+
+/// A [`FieldValue`] as the journal buffers it.
+#[derive(Debug)]
+enum StoredValue {
+    Bool(bool),
+    I64(i64),
+    U64(u64),
+    F64(f64),
+    Str(Box<str>),
+    Static(&'static str),
+}
+
+impl From<FieldValue> for StoredValue {
+    fn from(v: FieldValue) -> Self {
+        match v {
+            FieldValue::Bool(b) => StoredValue::Bool(b),
+            FieldValue::I64(x) => StoredValue::I64(x),
+            FieldValue::U64(x) => StoredValue::U64(x),
+            FieldValue::F64(x) => StoredValue::F64(x),
+            FieldValue::Str(s) => StoredValue::Str(s.into_boxed_str()),
+        }
+    }
+}
+
+impl StoredEvent {
+    fn to_event(&self) -> Event {
+        Event {
+            seq: self.seq,
+            ts_us: self.ts_us,
+            kind: self.kind.to_string(),
+            span: self.span,
+            parent: self.parent,
+            fields: self
+                .fields
+                .iter()
+                .map(|(k, v)| {
+                    let v = match v {
+                        StoredValue::Bool(b) => FieldValue::Bool(*b),
+                        StoredValue::I64(x) => FieldValue::I64(*x),
+                        StoredValue::U64(x) => FieldValue::U64(*x),
+                        StoredValue::F64(x) => FieldValue::F64(*x),
+                        StoredValue::Str(s) => FieldValue::Str(s.to_string()),
+                        StoredValue::Static(s) => FieldValue::Str(s.to_string()),
+                    };
+                    (k.to_string(), v)
+                })
+                .collect(),
+        }
+    }
+}
+
+fn push_event(
+    kind: &'static str,
+    span: u64,
+    parent: u64,
+    mut fields: Vec<(&'static str, StoredValue)>,
+) {
     REQUEST_ID.with(|r| {
         if let Some(rid) = r.borrow().as_deref() {
-            e.fields
-                .push(("rid".to_string(), FieldValue::Str(rid.to_string())));
+            fields.push(("rid", StoredValue::Str(rid.into())));
         }
     });
+    let mut e = StoredEvent {
+        seq: 0,
+        ts_us: 0,
+        kind,
+        span,
+        parent,
+        fields: fields.into_boxed_slice(),
+    };
     let mut j = lock(&JOURNAL);
     e.seq = j.next_seq;
     j.next_seq += 1;
@@ -699,14 +769,21 @@ fn push_event(mut e: Event) {
 /// values without guarding on [`journal_enabled`] first).
 #[must_use = "an event is only recorded when .emit() is called"]
 pub struct EventBuilder {
-    inner: Option<Event>,
+    inner: Option<PendingEvent>,
+}
+
+/// An event being built: kind, parent span, fields so far.
+struct PendingEvent {
+    kind: &'static str,
+    parent: u64,
+    fields: Vec<(&'static str, StoredValue)>,
 }
 
 impl EventBuilder {
     /// Attach a typed field.
     pub fn field(mut self, key: &'static str, value: impl Into<FieldValue>) -> Self {
         if let Some(e) = &mut self.inner {
-            e.fields.push((key.to_string(), value.into()));
+            e.fields.push((key, value.into().into()));
         }
         self
     }
@@ -714,7 +791,7 @@ impl EventBuilder {
     /// Record the event (assigns its sequence number and timestamp).
     pub fn emit(self) {
         if let Some(e) = self.inner {
-            push_event(e);
+            push_event(e.kind, 0, e.parent, e.fields);
         }
     }
 }
@@ -729,11 +806,8 @@ pub fn event(kind: &'static str) -> EventBuilder {
     }
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
     EventBuilder {
-        inner: Some(Event {
-            seq: 0,
-            ts_us: 0,
-            kind: kind.to_string(),
-            span: 0,
+        inner: Some(PendingEvent {
+            kind,
             parent,
             fields: Vec::new(),
         }),
@@ -776,7 +850,10 @@ impl JournalDump {
 pub fn journal_drain() -> JournalDump {
     let mut j = lock(&JOURNAL);
     JournalDump {
-        events: std::mem::take(&mut j.events).into_iter().collect(),
+        events: std::mem::take(&mut j.events)
+            .iter()
+            .map(StoredEvent::to_event)
+            .collect(),
         dropped: std::mem::take(&mut j.dropped),
     }
 }
@@ -821,7 +898,13 @@ pub fn journal_tail(since: u64, max: usize) -> JournalTail {
     // The ring holds the contiguous range [oldest, next_seq): index the
     // cursor directly instead of scanning.
     let skip = since.saturating_sub(oldest) as usize;
-    let events: Vec<Event> = j.events.iter().skip(skip).take(max).cloned().collect();
+    let events: Vec<Event> = j
+        .events
+        .iter()
+        .skip(skip)
+        .take(max)
+        .map(StoredEvent::to_event)
+        .collect();
     let next = match events.last() {
         Some(last) => last.seq + 1,
         None => j.next_seq.max(since),

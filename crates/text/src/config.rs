@@ -6,11 +6,11 @@
 //! later attached. It is also the engine behind similarity-threshold LFs
 //! users write by hand.
 
-use crate::prepared::PreparedRef;
+use crate::prepared::{sorted_weights, PreparedRef};
 use crate::preprocess::{apply_pipeline, Preprocess};
 use crate::sim;
 use crate::tokenize::Tokenizer;
-use crate::weight::{tf_weights, tfidf_weights, uniform_weights, CorpusStats, SortedWeights};
+use crate::weight::{CorpusStats, SortedWeights};
 use serde::{Deserialize, Serialize};
 
 /// Token weighting scheme (axis 3).
@@ -161,95 +161,13 @@ impl SimilarityConfig {
                 sim::overlap_coefficient(&ta, &tb)
             }
             Measure::Jaccard | Measure::Cosine => {
-                let (ta, tb) = (self.tokens(a), self.tokens(b));
-                let build = |toks: &[String]| {
-                    SortedWeights::from_weighted(&match (self.weighting, stats) {
-                        (Weighting::Uniform, _) => uniform_weights(toks),
-                        (Weighting::Tf, _) | (Weighting::TfIdf, None) => tf_weights(toks),
-                        (Weighting::TfIdf, Some(s)) => tfidf_weights(toks, s),
-                    })
-                };
-                let (wa, wb) = (build(&ta), build(&tb));
+                let build = |s: &str| sorted_weights(&self.tokens(s), self.weighting, stats);
+                let (wa, wb) = (build(a), build(b));
                 match self.measure {
                     Measure::Jaccard => sim::weighted_jaccard_sorted(&wa, &wb),
                     _ => sim::weighted_cosine_sorted(&wa, &wb),
                 }
             }
-        }
-    }
-
-    /// Three-way threshold decision for an LF vote: `Greater` when
-    /// `score(a, b) > upper`, `Less` when `score(a, b) < lower`, `Equal`
-    /// (abstain) otherwise.
-    ///
-    /// Exactly equivalent to calling [`SimilarityConfig::score`] and
-    /// comparing — same float expressions, same NaN behaviour — but
-    /// [`Measure::Levenshtein`] is decided through the banded DP: only
-    /// edit distances that could still keep the score at or above `lower`
-    /// are explored, and a length gap beyond the band exits in O(1).
-    /// Thresholded callers (similarity LFs vote on every candidate pair)
-    /// should use this instead of scoring then comparing.
-    pub fn classify_thresholds(
-        &self,
-        a: &str,
-        b: &str,
-        stats: Option<&CorpusStats>,
-        upper: f64,
-        lower: f64,
-    ) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        let cmp = |s: f64| {
-            if s > upper {
-                Ordering::Greater
-            } else if s < lower {
-                Ordering::Less
-            } else {
-                Ordering::Equal
-            }
-        };
-        if self.measure != Measure::Levenshtein {
-            return cmp(self.score(a, b, stats));
-        }
-        let ca = apply_pipeline(&self.preprocess, a);
-        let cb = apply_pipeline(&self.preprocess, b);
-        let la = ca.chars().count();
-        let lb = cb.chars().count();
-        if la == 0 && lb == 0 {
-            return cmp(1.0);
-        }
-        if lower.is_nan() {
-            // `s < NaN` never holds, so only the upper bound matters.
-            return if sim::levenshtein_similarity_exceeds(&ca, &cb, upper) {
-                Ordering::Greater
-            } else {
-                Ordering::Equal
-            };
-        }
-        let maxlen = la.max(lb);
-        let sim_of = |d: usize| 1.0 - d as f64 / maxlen as f64;
-        // A distance is worth resolving exactly while it could still vote
-        // Greater (`s > upper` wins even when the thresholds are inverted
-        // and `s < lower` also holds) or keep the vote out of NonMatch
-        // (`s >= lower`). Beyond both, the vote is Less no matter what.
-        let relevant = |d: usize| {
-            let s = sim_of(d);
-            s >= lower || s > upper
-        };
-        if !relevant(0) {
-            return Ordering::Less; // even identical strings fall below
-        }
-        let (mut lo, mut hi) = (0usize, maxlen);
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            if relevant(mid) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        match sim::levenshtein_bounded(&ca, &cb, lo) {
-            Some(d) => cmp(sim_of(d)),
-            None => Ordering::Less,
         }
     }
 
@@ -275,12 +193,7 @@ impl SimilarityConfig {
                 match (a.weights, b.weights) {
                     (Some(wa), Some(wb)) => result(wa, wb),
                     _ => {
-                        let build = |toks: &[String]| {
-                            SortedWeights::from_weighted(&match self.weighting {
-                                Weighting::Uniform => uniform_weights(toks),
-                                Weighting::Tf | Weighting::TfIdf => tf_weights(toks),
-                            })
-                        };
+                        let build = |toks| sorted_weights(toks, self.weighting, None);
                         result(&build(a.tokens), &build(b.tokens))
                     }
                 }
@@ -407,35 +320,6 @@ mod tests {
     }
 
     proptest! {
-        /// `classify_thresholds` is exactly "score, then compare" for
-        /// every measure in the grid — in particular the banded
-        /// Levenshtein path must reproduce the full-DP vote bit for bit.
-        #[test]
-        fn classify_thresholds_matches_score_comparison(
-            a in "[a-cé ]{0,10}",
-            b in "[a-cé ]{0,10}",
-            idx in 0usize..36,
-            upper in 0.0f64..1.2,
-            lower in -0.2f64..1.0,
-        ) {
-            use std::cmp::Ordering;
-            let grid = default_config_grid();
-            let cfg = &grid[idx % grid.len()];
-            let s = cfg.score(&a, &b, None);
-            let expected = if s > upper {
-                Ordering::Greater
-            } else if s < lower {
-                Ordering::Less
-            } else {
-                Ordering::Equal
-            };
-            prop_assert_eq!(
-                cfg.classify_thresholds(&a, &b, None, upper, lower),
-                expected,
-                "{} s={} upper={} lower={}", cfg.id(), s, upper, lower
-            );
-        }
-
         /// Every config in the grid returns a score in [0,1], symmetric,
         /// and 1.0 for identical strings.
         #[test]

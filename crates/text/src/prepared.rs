@@ -2,14 +2,20 @@
 //! layer).
 //!
 //! Scoring a candidate pair under a [`SimilarityConfig`] repeats the same
-//! three steps on both strings: preprocess, tokenize, weight. When a grid
-//! of configurations is evaluated over thousands of candidate pairs —
-//! Auto-FuzzyJoin enumeration, LF matrix application — the same *column
-//! value* is re-preprocessed and re-tokenized hundreds of times. A
-//! [`PreparedColumn`] does that work exactly once per `(table, attribute,
-//! pipeline, tokenizer)` combination; a [`TokenCache`] memoises prepared
-//! columns (and derived per-record weight vectors) under stable string
-//! keys so independent call sites share the work.
+//! three steps on both strings: preprocess, tokenize, weight. Each record
+//! sits in many candidate pairs, so scoring pair by pair redoes that work
+//! for the same *column value* over and over. A [`PreparedColumn`] does it
+//! exactly once per record. Two consumers build them:
+//!
+//! * Auto-FuzzyJoin enumeration ([`PreparedColumn::build`]) shares one
+//!   column across every grid configuration with the same `(table,
+//!   attribute, pipeline, tokenizer)`; a [`TokenCache`] memoises prepared
+//!   columns (and derived per-record weight vectors) under stable string
+//!   keys so independent cells share the work.
+//! * Similarity-LF application ([`PreparedColumn::build_for`]) prepares
+//!   one column per side for a single configuration, keeping only what
+//!   that configuration's measure reads, and drops it once the LF's label
+//!   column is voted.
 //!
 //! Cache-key contract: a [`ColumnKey`] identifies an immutable snapshot of
 //! one column's text under one preprocessing pipeline and one tokenizer.
@@ -21,7 +27,7 @@
 //!
 //! [`SimilarityConfig`]: crate::config::SimilarityConfig
 
-use crate::config::Weighting;
+use crate::config::{Measure, SimilarityConfig, Weighting};
 use crate::preprocess::{apply_pipeline, Preprocess};
 use crate::sim::sorted_token_hashes;
 use crate::tokenize::Tokenizer;
@@ -52,6 +58,10 @@ pub struct PreparedColumn {
     tokens: Vec<Vec<String>>,
     hashes: Vec<Vec<u64>>,
     blank: Vec<bool>,
+    /// Per-record weight vectors; only [`PreparedColumn::build_for`] a
+    /// weighted measure fills them, and [`PreparedColumn::record`] then
+    /// attaches them.
+    weights: Vec<SortedWeights>,
 }
 
 impl PreparedColumn {
@@ -81,7 +91,51 @@ impl PreparedColumn {
             tokens,
             hashes,
             blank,
+            weights: Vec::new(),
         }
+    }
+
+    /// Prepare a column for scoring under `config` alone. Per record it
+    /// keeps only what `config.measure` reads in
+    /// [`SimilarityConfig::score_prepared`]: the preprocessed text for
+    /// string measures, the tokens for Monge-Elkan, the sorted token
+    /// hashes for Dice and Overlap, and the weight vector (TF-IDF from
+    /// `stats`) for Jaccard and Cosine; the other fields stay empty.
+    /// `None` entries are records the caller never scores: nothing is
+    /// computed for them and they read as blank.
+    pub fn build_for<S: AsRef<str>>(
+        texts: &[Option<S>],
+        config: &SimilarityConfig,
+        stats: Option<&CorpusStats>,
+    ) -> Self {
+        let n = texts.len();
+        let mut col = PreparedColumn {
+            cleaned: vec![String::new(); n],
+            tokens: vec![Vec::new(); n],
+            hashes: vec![Vec::new(); n],
+            blank: vec![true; n],
+            weights: match config.measure {
+                Measure::Jaccard | Measure::Cosine => vec![SortedWeights::default(); n],
+                _ => Vec::new(),
+            },
+        };
+        for (i, raw) in texts.iter().enumerate() {
+            let Some(raw) = raw else { continue };
+            let raw = raw.as_ref();
+            col.blank[i] = raw.trim().is_empty();
+            let cleaned = apply_pipeline(&config.preprocess, raw);
+            if !config.measure.is_set_measure() {
+                col.cleaned[i] = cleaned;
+                continue;
+            }
+            let toks = config.tokenizer.tokens(&cleaned);
+            match config.measure {
+                Measure::MongeElkan => col.tokens[i] = toks,
+                Measure::Dice | Measure::Overlap => col.hashes[i] = sorted_token_hashes(&toks),
+                _ => col.weights[i] = sorted_weights(&toks, config.weighting, stats),
+            }
+        }
+        col
     }
 
     /// Number of records.
@@ -116,13 +170,15 @@ impl PreparedColumn {
         self.blank[i]
     }
 
-    /// Borrow record `i` for scoring (no weight vector attached).
+    /// Borrow record `i` for scoring, with its weight vector when the
+    /// column was [built for](PreparedColumn::build_for) a weighted
+    /// measure (otherwise none is attached).
     pub fn record(&self, i: usize) -> PreparedRef<'_> {
         PreparedRef {
             cleaned: &self.cleaned[i],
             tokens: &self.tokens[i],
             hashes: &self.hashes[i],
-            weights: None,
+            weights: self.weights.get(i),
         }
     }
 
@@ -159,15 +215,23 @@ impl PreparedColumn {
     ) -> Vec<SortedWeights> {
         self.tokens
             .iter()
-            .map(|toks| {
-                SortedWeights::from_weighted(&match (weighting, stats) {
-                    (Weighting::Uniform, _) => uniform_weights(toks),
-                    (Weighting::Tf, _) | (Weighting::TfIdf, None) => tf_weights(toks),
-                    (Weighting::TfIdf, Some(s)) => tfidf_weights(toks, s),
-                })
-            })
+            .map(|toks| sorted_weights(toks, weighting, stats))
             .collect()
     }
+}
+
+/// One token vector's weights under `weighting`, in scoring form. TF-IDF
+/// without corpus `stats` falls back to TF.
+pub(crate) fn sorted_weights(
+    toks: &[String],
+    weighting: Weighting,
+    stats: Option<&CorpusStats>,
+) -> SortedWeights {
+    SortedWeights::from_weighted(&match (weighting, stats) {
+        (Weighting::Uniform, _) => uniform_weights(toks),
+        (Weighting::Tf, _) | (Weighting::TfIdf, None) => tf_weights(toks),
+        (Weighting::TfIdf, Some(s)) => tfidf_weights(toks, s),
+    })
 }
 
 /// A borrowed, fully prepared view of one record's column value — what
@@ -367,6 +431,17 @@ mod tests {
                 "{}: direct {direct} != prepared {prepared}",
                 cfg.id()
             );
+            // A column built for this config alone scores bit-identically,
+            // and skipped records read as blank.
+            let fa = PreparedColumn::build_for(&[Some(a), None], &cfg, s.then_some(&stats));
+            let fb = PreparedColumn::build_for(&[Some(b)], &cfg, s.then_some(&stats));
+            assert_eq!(
+                cfg.score_prepared(&fa.record(0), &fb.record(0)).to_bits(),
+                direct.to_bits(),
+                "{}: build_for",
+                cfg.id()
+            );
+            assert!(!fa.is_blank(0) && fa.is_blank(1));
             // Weight-free refs fall back to on-the-fly weights, which for
             // TF-IDF degrades to TF — exactly `score` without stats.
             let bare = cfg.score_prepared(&ca.record(0), &cb.record(0));
