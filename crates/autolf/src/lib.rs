@@ -3,7 +3,7 @@
 //! Panda leverages Auto-FuzzyJoin [Li et al., SIGMOD'21] to hand first-time
 //! users a set of high-quality LFs without writing a line of code. The key
 //! insight: one of the input tables is usually a **reference table** with
-//! no (or few) duplicates — true for >90% of EM benchmarks [9]. Under that
+//! no (or few) duplicates — true for >90% of EM benchmarks \[9\]. Under that
 //! assumption the precision of a similarity-join rule can be *estimated
 //! without any labels*: if a join config maps one right record to several
 //! distinct left records, at most one of those pairs can be correct, so

@@ -26,6 +26,7 @@
 use panda_autolf::{generate_auto_lfs, AutoLfConfig};
 use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
 use panda_embed::{Blocker, EmbeddingLshBlocker};
+use panda_serve::client;
 use panda_table::{CandidateSet, TablePair};
 use serde::Value;
 use std::hint::black_box;
@@ -50,6 +51,8 @@ const OBS_OVERHEAD_LIMIT: f64 = 1.25;
 /// two nodes contend fully, so the line sits at 2x; a regression to
 /// synchronous shipping or double-fsync still lands well past it.
 const REPL_OVERHEAD_LIMIT: f64 = 2.0;
+/// Bound on each one-shot topology-setup request (not timed).
+const SETUP_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 struct Case {
     /// Key in `BENCH_autolf.json` (`cases[].case` is `"<id>/..."`).
@@ -275,33 +278,6 @@ fn measure_serve_healthz_rps(obs_on: bool) -> Result<f64, String> {
     }
 }
 
-/// One-shot request on a fresh connection (topology setup, not timed).
-fn http_once(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> Result<(u16, String), String> {
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: gate\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("recv: {e}"))?;
-    let status = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = raw.split("\r\n\r\n").nth(1).unwrap_or_default().to_string();
-    Ok((status, body))
-}
-
 /// A small table pair for the replication gate — big enough that the
 /// LF upsert recomputes a real matrix column, small enough that the
 /// fsync (not the similarity kernel) stays the dominant cost.
@@ -368,7 +344,7 @@ fn measure_lf_upsert_rps(replicated: bool) -> Result<f64, String> {
     );
     let lf = r#"{"name":"name_overlap","kind":"similarity","attr":"name","upper":0.5,"lower":0.1}"#;
     for (path, body) in [("/sessions", create.as_str()), ("/sessions/1/lfs", lf)] {
-        let (status, resp) = http_once(addr, "POST", path, body)?;
+        let (status, resp) = client::request(&addr.to_string(), "POST", path, body, SETUP_TIMEOUT)?;
         if status != 200 {
             return Err(format!("POST {path}: {status} {resp}"));
         }
@@ -379,7 +355,8 @@ fn measure_lf_upsert_rps(replicated: bool) -> Result<f64, String> {
         // prefix.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
-            let (status, body) = http_once(f.addr(), "GET", "/sessions", "")?;
+            let (status, body) =
+                client::request(&f.addr().to_string(), "GET", "/sessions", "", SETUP_TIMEOUT)?;
             if status == 200 && body.contains("\"wal_seq\":2") {
                 break;
             }

@@ -1,6 +1,6 @@
 //! **E1 — the headline claim** (paper §2.1, feature 3): "our labeling
 //! model improves the F1-score of the state-of-the-art labeling model
-//! [Snorkel] by 12% on average" on real-world benchmark datasets.
+//! \[Snorkel\] by 12% on average" on real-world benchmark datasets.
 //!
 //! For every benchmark family (the extended suite: the five standard
 //! tasks plus the dirty and schema-mismatched product variants) we build

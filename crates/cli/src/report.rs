@@ -6,6 +6,7 @@
 
 use serde::Value;
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// One parsed journal event (the subset of fields the report uses).
 struct Event {
@@ -366,33 +367,6 @@ fn parse_follow_url(url: &str) -> Result<(String, String), String> {
     Ok((host.to_string(), path.to_string()))
 }
 
-/// One blocking `GET` over a fresh connection; returns the body of a
-/// 200 response. `Connection: close` keeps the framing trivial: read
-/// to EOF, split at the blank line.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    use std::io::{Read as _, Write as _};
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("writing to {addr}: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("reading from {addr}: {e}"))?;
-    let raw = String::from_utf8_lossy(&raw);
-    let Some((head, body)) = raw.split_once("\r\n\r\n") else {
-        return Err(format!("{addr}{path}: malformed HTTP response"));
-    };
-    let status = head.split_whitespace().nth(1).unwrap_or("?");
-    if status != "200" {
-        return Err(format!("{addr}{path}: HTTP {status}: {body}"));
-    }
-    Ok(body.to_string())
-}
-
 /// `panda report --follow`: tail a live server's journal ring over
 /// `GET /events?since=N` long-polls, printing each event as a JSON
 /// line and resuming from the returned cursor.
@@ -402,7 +376,12 @@ fn follow(url: &str, mut since: u64, max_polls: usize, timeout_ms: u64) -> Resul
     loop {
         let sep = if base_path.contains('?') { '&' } else { '?' };
         let path = format!("{base_path}{sep}since={since}&timeout_ms={timeout_ms}");
-        let body = http_get(&addr, &path)?;
+        // The server holds an empty poll for up to `timeout_ms`.
+        let wait = Duration::from_millis(timeout_ms) + Duration::from_secs(30);
+        let body = match panda_serve::client::request(&addr, "GET", &path, "", wait)? {
+            (200, body) => body,
+            (status, body) => return Err(format!("{addr}{path}: HTTP {status}: {body}")),
+        };
         let v = serde_json::parse_value(&body)
             .map_err(|e| format!("{addr}{path}: bad /events body: {e}"))?;
         let next = field(&v, "next")

@@ -2,7 +2,7 @@
 //!
 //! The paper (§2.1, feature 1.2) plans to "expand the utility functions by
 //! including pre-trained matchers for specific entity types (e.g., People,
-//! Organization, Address, etc) [15], so that users can directly invoke
+//! Organization, Address, etc) \[15\], so that users can directly invoke
 //! pre-trained matchers relevant to their EM task in their LFs". The
 //! original intends transfer-learned models (Auto-EM); offline we provide
 //! the deterministic equivalents: domain-aware comparison logic with the

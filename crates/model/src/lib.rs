@@ -9,7 +9,7 @@
 //! * [`SnorkelModel`] — the data-programming generative model of
 //!   Ratner et al. (the model behind Snorkel): one accuracy and one
 //!   propensity parameter per LF, conditionally independent given `y`,
-//!   fit by EM. This is the "state-of-the-art labeling model [11]" the
+//!   fit by EM. This is the "state-of-the-art labeling model \[11\]" the
 //!   paper compares against.
 //! * [`PandaModel`] — the paper's EM-specific model (§2.1 feature 3):
 //!   **class-conditional** accuracies `α_M` (on matches) and `α_U` (on

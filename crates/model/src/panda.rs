@@ -31,7 +31,7 @@ const CODE_SLOT: [usize; 4] = [2, 0, 1, 2];
 pub struct StartDiagnostic {
     /// Which warm start produced this solution.
     pub init: &'static str,
-    /// The selection score ([`informativeness`]-based).
+    /// The selection score (`informativeness`-based).
     pub informativeness: f64,
     /// The converged posteriors.
     pub posteriors: Vec<f64>,

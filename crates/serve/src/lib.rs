@@ -67,6 +67,7 @@
 //! ```
 
 pub mod api;
+pub mod client;
 pub mod http;
 pub mod net;
 pub mod persist;

@@ -25,9 +25,14 @@
 //! WAL is reset, bounding replay cost. Recovery loads the snapshot (if
 //! any), verifies its config digest, rehydrates — which re-runs
 //! deterministic blocking and checks the persisted matrix digest — then
-//! replays WAL records with `seq > snapshot.last_seq` through the same
-//! session methods the live server uses, re-verifying the digest after
-//! each op.
+//! replays WAL records with `seq > snapshot.last_seq` through the apply
+//! step live requests use (`SessionSlot::replay`), re-verifying the
+//! digest after each op.
+//!
+//! This module owns the formats ([`WalOp`], [`WalRecord`],
+//! [`SnapshotFile`]), the replay recipe a session is rebuilt from, and
+//! the per-session file sink ([`SessionPersist`]); applying ops is
+//! [`crate::state::SessionSlot`]'s job.
 //!
 //! **Failure policy.** A WAL append failure surfaces as an error *before*
 //! the response is acknowledged (the op stays applied in memory but the
@@ -37,7 +42,8 @@
 
 use crate::api::{build_tables, CreateSessionRequest, LfSpec};
 use panda_lf::BoxedLf;
-use panda_session::{PandaSession, SessionState};
+use panda_session::{PandaSession, SessionConfig, SessionState};
+use panda_table::TablePair;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -136,177 +142,230 @@ pub fn build_from_spec(name: &str, spec_json: &str) -> Result<BoxedLf, String> {
     spec.build()
 }
 
-/// The digest-verified replay engine shared by crash recovery, the
-/// follower apply loop, and cross-shard handoff: applies [`WalRecord`]s
-/// in sequence, skipping snapshot-covered duplicates, rejecting gaps,
-/// and verifying the post-op matrix digest after every applied record.
-pub struct Replayer {
-    /// The session being rebuilt (`None` until a snapshot or create).
-    pub session: Option<PandaSession>,
-    /// The original create request (travels with the session).
-    pub request: Option<CreateSessionRequest>,
-    /// LF name → wire-spec JSON: the dehydration recipe map.
-    pub specs: HashMap<String, String>,
-    /// Highest applied (or snapshot-covered) sequence number.
-    pub last_seq: u64,
+/// Why a session mutation was refused or could not be made durable.
+/// The router maps each variant to an HTTP status and error code;
+/// replay wraps it in a [`ReplayError`].
+#[derive(Debug)]
+pub enum OpError {
+    /// The create request's config overrides do not resolve.
+    BadConfig(String),
+    /// The create request's CSVs or gold pairs do not parse.
+    BadTables(String),
+    /// Blocking found no candidate pairs for the create request.
+    NoCandidates,
+    /// The LF spec does not build.
+    BadLf(String),
+    /// The LF failed while computing its column (the session rolled
+    /// the edit back).
+    LfFailed(String),
+    /// No LF with this name is registered.
+    UnknownLf(String),
+    /// The label names a candidate index past the candidate set.
+    BadCandidate {
+        /// The requested index.
+        index: u64,
+        /// Number of candidate pairs.
+        candidates: usize,
+    },
+    /// A create op sent to an existing session.
+    NestedCreate,
+    /// The op was applied in memory but could not be logged.
+    Persist(String),
 }
 
-impl Replayer {
-    /// An empty replayer: the first record must be a create.
-    pub fn new() -> Replayer {
-        Replayer {
-            session: None,
-            request: None,
-            specs: HashMap::new(),
-            last_seq: 0,
+impl std::fmt::Display for OpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OpError::BadConfig(msg)
+            | OpError::BadTables(msg)
+            | OpError::BadLf(msg)
+            | OpError::LfFailed(msg)
+            | OpError::Persist(msg) => f.write_str(msg),
+            OpError::NoCandidates => f.write_str(
+                "blocking produced zero candidate pairs; loosen blocking_min_cosine \
+                 or check the input tables",
+            ),
+            OpError::UnknownLf(name) => write!(f, "no LF named {name:?}"),
+            OpError::BadCandidate { index, candidates } => write!(
+                f,
+                "candidate {index} out of range ({candidates} candidate pairs)"
+            ),
+            OpError::NestedCreate => f.write_str("a create op cannot apply to an existing session"),
         }
     }
+}
 
-    /// Seed from a snapshot: verifies the format and config digest, then
-    /// rehydrates (which re-runs deterministic blocking and checks the
-    /// persisted matrix digest).
-    pub fn from_snapshot(snap: SnapshotFile) -> Result<Replayer, String> {
-        if snap.format != SNAPSHOT_FORMAT {
-            return Err(format!(
-                "snapshot format {} unsupported (expected {SNAPSHOT_FORMAT})",
-                snap.format
-            ));
+/// Why a logged record, snapshot or handoff could not be replayed. The
+/// variant is the `repl.quarantines` reason label.
+#[derive(Debug)]
+pub enum ReplayError {
+    /// A record does not directly follow the last applied one.
+    Gap(String),
+    /// A logged digest (post-op matrix or create request) differs from
+    /// the replayed one.
+    Digest(String),
+    /// The snapshot or record is unreadable, or its op failed.
+    Apply(String),
+}
+
+impl ReplayError {
+    /// The `repl.quarantines{reason}` label.
+    pub fn reason(&self) -> &'static str {
+        match self {
+            ReplayError::Gap(_) => "gap",
+            ReplayError::Digest(_) => "digest",
+            ReplayError::Apply(_) => "apply",
         }
-        if snap.config_digest != config_digest(&snap.request) {
-            return Err("snapshot create-request digest mismatch".into());
-        }
-        let config = snap.request.config.clone().unwrap_or_default().resolve()?;
-        let tables = build_tables(&snap.request)?;
-        let session = PandaSession::rehydrate(tables, config, &snap.state, &build_from_spec)?;
-        let mut specs = HashMap::new();
-        for lf in &snap.state.lfs {
-            if let Some(spec) = &lf.spec {
-                specs.insert(lf.name.clone(), spec.clone());
+    }
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Gap(msg) | ReplayError::Digest(msg) | ReplayError::Apply(msg) => {
+                f.write_str(msg)
             }
         }
-        Ok(Replayer {
-            session: Some(session),
+    }
+}
+
+/// Compare the matrix digest after replaying record `seq` with the one
+/// the record logged.
+pub(crate) fn check_digest(
+    seq: u64,
+    logged: u64,
+    session: &PandaSession,
+) -> Result<(), ReplayError> {
+    let got = session.matrix().digest();
+    if got == logged {
+        return Ok(());
+    }
+    Err(ReplayError::Digest(format!(
+        "matrix digest mismatch at WAL seq {seq}: logged {logged:#018x}, replayed {got:#018x}"
+    )))
+}
+
+/// What a session can be rebuilt from: its create request, the wire
+/// spec of every spec-backed LF, and the seq of the last applied op.
+/// Sessions inserted through the library have no request and cannot be
+/// snapshotted.
+#[derive(Default)]
+pub(crate) struct Recipe {
+    pub(crate) request: Option<CreateSessionRequest>,
+    /// LF name → wire-spec JSON; written only by `SessionSlot::apply`.
+    pub(crate) specs: HashMap<String, String>,
+    pub(crate) last_seq: u64,
+}
+
+impl Recipe {
+    /// Load a fresh session from a create request.
+    pub(crate) fn load(request: CreateSessionRequest) -> Result<(PandaSession, Recipe), OpError> {
+        let (tables, config) = session_inputs(&request)?;
+        let session = PandaSession::load(tables, config);
+        if session.candidates().is_empty() {
+            // Same contract as `panda match` on the CLI: zero candidates
+            // is a client problem, never a silent success.
+            return Err(OpError::NoCandidates);
+        }
+        let recipe = Recipe {
+            request: Some(request),
+            ..Recipe::default()
+        };
+        Ok((session, recipe))
+    }
+
+    /// Rebuild a session from a snapshot: verifies the format and config
+    /// digest, then rehydrates (which re-runs deterministic blocking and
+    /// checks the persisted matrix digest).
+    pub(crate) fn rehydrate(snap: SnapshotFile) -> Result<(PandaSession, Recipe), ReplayError> {
+        if snap.format != SNAPSHOT_FORMAT {
+            return Err(ReplayError::Apply(format!(
+                "snapshot format {} unsupported (expected {SNAPSHOT_FORMAT})",
+                snap.format
+            )));
+        }
+        if snap.config_digest != config_digest(&snap.request) {
+            return Err(ReplayError::Digest(
+                "snapshot create-request digest mismatch".into(),
+            ));
+        }
+        let (tables, config) =
+            session_inputs(&snap.request).map_err(|e| ReplayError::Apply(e.to_string()))?;
+        let session = PandaSession::rehydrate(tables, config, &snap.state, &build_from_spec)
+            .map_err(ReplayError::Apply)?;
+        let specs = snap
+            .state
+            .lfs
+            .iter()
+            .filter_map(|lf| Some((lf.name.clone(), lf.spec.clone()?)))
+            .collect();
+        let recipe = Recipe {
             request: Some(snap.request),
             specs,
             last_seq: snap.last_seq,
-        })
+        };
+        Ok((session, recipe))
     }
 
-    /// Apply one record. `Ok(false)` means the record was skipped as a
-    /// duplicate already covered by the seeded snapshot (crash between
-    /// snapshot rename and WAL reset, or a replication resend); any gap,
-    /// digest mismatch, or misplaced create is an error — the caller
-    /// quarantines instead of serving wrong state.
-    pub fn apply(&mut self, rec: &WalRecord) -> Result<bool, String> {
-        if rec.seq <= self.last_seq {
-            return Ok(false);
-        }
-        if let WalOp::Create {
+    /// Rebuild a session from the create record that starts its log.
+    pub(crate) fn replay_create(rec: &WalRecord) -> Result<(PandaSession, Recipe), ReplayError> {
+        let WalOp::Create {
             request,
             config_digest: logged,
         } = &rec.op
-        {
-            if rec.seq != self.last_seq + 1 {
-                return Err(format!(
-                    "seq gap: record {} follows {}",
-                    rec.seq, self.last_seq
-                ));
-            }
-            if self.session.is_some() {
-                return Err(format!("duplicate create record at seq {}", rec.seq));
-            }
-            if *logged != config_digest(request) {
-                return Err("create record digest mismatch".into());
-            }
-            let config = request.config.clone().unwrap_or_default().resolve()?;
-            let tables = build_tables(request)?;
-            let session = PandaSession::load(tables, config);
-            let got = session.matrix().digest();
-            if got != rec.digest {
-                return Err(format!(
-                    "matrix digest mismatch at WAL seq {}: logged {:#018x}, replayed {got:#018x}",
-                    rec.seq, rec.digest
-                ));
-            }
-            self.request = Some(request.clone());
-            self.session = Some(session);
-            self.last_seq = rec.seq;
-            return Ok(true);
+        else {
+            return Err(ReplayError::Gap(format!(
+                "WAL op at seq {} before create",
+                rec.seq
+            )));
+        };
+        if rec.seq != 1 {
+            return Err(ReplayError::Gap(format!(
+                "seq gap: record {} follows 0",
+                rec.seq
+            )));
         }
-        let session = self
-            .session
-            .as_mut()
-            .ok_or_else(|| format!("WAL op at seq {} before create", rec.seq))?;
-        apply_record(session, &mut self.specs, &mut self.last_seq, rec)
+        if *logged != config_digest(request) {
+            return Err(ReplayError::Digest("create record digest mismatch".into()));
+        }
+        let (session, mut recipe) = Recipe::load(request.clone())
+            .map_err(|e| ReplayError::Apply(format!("WAL seq {}: {e}", rec.seq)))?;
+        check_digest(rec.seq, rec.digest, &session)?;
+        recipe.last_seq = rec.seq;
+        Ok((session, recipe))
+    }
+
+    /// The snapshot of `session` as of `last_seq` — what compaction,
+    /// eviction, adoption, sync frames and handoffs persist or ship.
+    /// `Ok(None)` for a library insert.
+    pub(crate) fn snapshot(&self, session: &PandaSession) -> Result<Option<SnapshotFile>, String> {
+        let Some(request) = &self.request else {
+            return Ok(None);
+        };
+        let state = session.dehydrate(&|name| self.specs.get(name).cloned())?;
+        Ok(Some(SnapshotFile {
+            format: SNAPSHOT_FORMAT,
+            last_seq: self.last_seq,
+            config_digest: config_digest(request),
+            request: request.clone(),
+            state,
+        }))
     }
 }
 
-/// Apply one non-create record to a live session under the recovery
-/// rules: skip duplicates, reject gaps, verify the post-op matrix
-/// digest. The follower apply loop runs this directly against the slot
-/// it replicates into.
-pub(crate) fn apply_record(
-    session: &mut PandaSession,
-    specs: &mut HashMap<String, String>,
-    last_seq: &mut u64,
-    rec: &WalRecord,
-) -> Result<bool, String> {
-    if rec.seq <= *last_seq {
-        return Ok(false);
-    }
-    if rec.seq != *last_seq + 1 {
-        return Err(format!("seq gap: record {} follows {}", rec.seq, *last_seq));
-    }
-    if matches!(rec.op, WalOp::Create { .. }) {
-        return Err(format!("duplicate create record at seq {}", rec.seq));
-    }
-    apply_wal_op(session, &rec.op, specs).map_err(|e| format!("WAL seq {}: {e}", rec.seq))?;
-    let got = session.matrix().digest();
-    if got != rec.digest {
-        return Err(format!(
-            "matrix digest mismatch at WAL seq {}: logged {:#018x}, replayed {got:#018x}",
-            rec.seq, rec.digest
-        ));
-    }
-    *last_seq = rec.seq;
-    Ok(true)
+/// The session config and tables a create request describes.
+fn session_inputs(request: &CreateSessionRequest) -> Result<(TablePair, SessionConfig), OpError> {
+    let config = request
+        .config
+        .clone()
+        .unwrap_or_default()
+        .resolve()
+        .map_err(OpError::BadConfig)?;
+    let tables = build_tables(request).map_err(OpError::BadTables)?;
+    Ok((tables, config))
 }
 
-impl Default for Replayer {
-    fn default() -> Self {
-        Replayer::new()
-    }
-}
-
-/// Rebuild a session from handed-off parts (optional snapshot + WAL
-/// tail), enforcing the same gap and digest rules as recovery. Strict:
-/// an out-of-order or digest-mismatched record is an error — the
-/// receiving shard refuses the handoff rather than installing a wrong
-/// session.
-pub fn rebuild(snapshot: Option<SnapshotFile>, tail: &[WalRecord]) -> Result<Replayer, String> {
-    let mut replayer = match snapshot {
-        Some(snap) => Replayer::from_snapshot(snap)?,
-        None => Replayer::new(),
-    };
-    for rec in tail {
-        replayer.apply(rec)?;
-    }
-    if replayer.session.is_none() {
-        return Err("handoff carries no snapshot and no create record".into());
-    }
-    Ok(replayer)
-}
-
-/// A recovered session plus its re-attached persistence handle.
-pub struct Recovered {
-    /// The rebuilt session, digest-verified.
-    pub session: PandaSession,
-    /// Persistence handle, positioned to append after the last replayed
-    /// record.
-    pub persist: SessionPersist,
-}
-
-/// The on-disk store: owns the state directory and builds per-session
+/// The on-disk store: owns the state directory and opens per-session
 /// persistence handles.
 #[derive(Debug, Clone)]
 pub struct SessionStore {
@@ -347,251 +406,113 @@ impl SessionStore {
         let _ = fs::remove_dir_all(self.session_dir(id));
     }
 
-    /// Start persisting a freshly created session: opens a fresh WAL and
-    /// logs the create record (fsynced before this returns). Also yields
-    /// the appended create record so a primary can ship it to followers.
-    pub fn create(
-        &self,
-        id: u64,
-        request: &CreateSessionRequest,
-        session: &PandaSession,
-    ) -> Result<(SessionPersist, Appended), String> {
+    /// A handle over a fresh session directory with an empty WAL: the
+    /// caller logs the create record next, or writes the snapshot of a
+    /// handed-off session.
+    pub fn create(&self, id: u64) -> Result<SessionPersist, String> {
         let dir = self.session_dir(id);
         fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let wal_path = dir.join(WAL_FILE);
-        let wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&wal_path)
-            .map_err(|e| format!("open {}: {e}", wal_path.display()))?;
-        let mut persist = SessionPersist {
-            dir,
-            wal,
-            seq: 0,
-            ops_since_snapshot: 0,
-            snapshot_every: self.snapshot_every,
-            request: request.clone(),
-            specs: HashMap::new(),
-            broken: false,
-        };
-        let appended = persist.append(
-            WalOp::Create {
-                request: request.clone(),
-                config_digest: config_digest(request),
-            },
-            session,
-        )?;
-        Ok((persist, appended))
+        self.handle(dir, true, 0)
     }
 
-    /// Install a handed-off session under a fresh directory: an empty
-    /// WAL positioned at `last_seq` plus an immediate snapshot, so the
-    /// moved state is durable before the handoff is acknowledged.
-    pub fn adopt(
+    /// Re-attach to a recovered session's WAL, appending after the
+    /// `replayed` records it already holds past the snapshot.
+    pub fn reopen(&self, id: u64, replayed: u64) -> Result<SessionPersist, String> {
+        self.handle(self.session_dir(id), false, replayed)
+    }
+
+    /// The snapshot and WAL records on disk for one session.
+    pub fn read(&self, id: u64) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+        read_parts(&self.session_dir(id))
+    }
+
+    fn handle(
         &self,
-        id: u64,
-        request: &CreateSessionRequest,
-        session: &PandaSession,
-        specs: HashMap<String, String>,
-        last_seq: u64,
+        dir: PathBuf,
+        truncate: bool,
+        replayed: u64,
     ) -> Result<SessionPersist, String> {
-        let dir = self.session_dir(id);
-        fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         let wal_path = dir.join(WAL_FILE);
         let wal = OpenOptions::new()
             .create(true)
+            .append(!truncate)
             .write(true)
-            .truncate(true)
+            .truncate(truncate)
             .open(&wal_path)
             .map_err(|e| format!("open {}: {e}", wal_path.display()))?;
-        let mut persist = SessionPersist {
+        Ok(SessionPersist {
             dir,
             wal,
-            seq: last_seq,
-            ops_since_snapshot: 0,
+            ops_since_snapshot: replayed,
             snapshot_every: self.snapshot_every,
-            request: request.clone(),
-            specs,
             broken: false,
-        };
-        persist.write_snapshot(session)?;
-        Ok(persist)
-    }
-
-    /// Rebuild a session from disk: snapshot (verified) + WAL replay
-    /// (digest-verified per record). Errors quarantine the session —
-    /// its directory is left untouched for inspection.
-    pub fn recover(&self, id: u64) -> Result<Recovered, String> {
-        let _span = panda_obs::span("persist.session.recover");
-        let dir = self.session_dir(id);
-        let snap_path = dir.join(SNAPSHOT_FILE);
-        let wal_path = dir.join(WAL_FILE);
-
-        let mut replayer = if snap_path.exists() {
-            let text = fs::read_to_string(&snap_path)
-                .map_err(|e| format!("read {}: {e}", snap_path.display()))?;
-            let snap: SnapshotFile =
-                serde_json::from_str(&text).map_err(|e| format!("snapshot: {}", e.0))?;
-            Replayer::from_snapshot(snap)?
-        } else {
-            Replayer::new()
-        };
-
-        let mut replayed = 0u64;
-        if wal_path.exists() {
-            let text = fs::read_to_string(&wal_path)
-                .map_err(|e| format!("read {}: {e}", wal_path.display()))?;
-            let lines: Vec<&str> = text.lines().collect();
-            let mut prev_seq: Option<u64> = None;
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let rec: WalRecord = match serde_json::from_str(line) {
-                    Ok(rec) => rec,
-                    Err(e) => {
-                        if i + 1 == lines.len() {
-                            // Torn tail from a crash mid-append: the op
-                            // was never acknowledged, dropping it is the
-                            // correct recovery.
-                            panda_obs::counter_add("persist.wal.torn_tail", 1);
-                            break;
-                        }
-                        return Err(format!("WAL line {}: {}", i + 1, e.0));
-                    }
-                };
-                // In-file contiguity: even records the snapshot already
-                // covers must be gap-free, or the log is corrupt.
-                if let Some(p) = prev_seq {
-                    if rec.seq != p + 1 {
-                        return Err(format!("WAL gap: record {} follows {p}", rec.seq));
-                    }
-                }
-                prev_seq = Some(rec.seq);
-                if replayer.apply(&rec)? {
-                    replayed += 1;
-                }
-            }
-        }
-
-        let Replayer {
-            session,
-            request,
-            specs,
-            last_seq,
-        } = replayer;
-        let session = session.ok_or("no snapshot and no create record — nothing to recover")?;
-        let request = request.expect("request travels with session");
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&wal_path)
-            .map_err(|e| format!("reopen {}: {e}", wal_path.display()))?;
-        Ok(Recovered {
-            session,
-            persist: SessionPersist {
-                dir,
-                wal,
-                seq: last_seq,
-                ops_since_snapshot: replayed,
-                snapshot_every: self.snapshot_every,
-                request,
-                specs,
-                broken: false,
-            },
         })
     }
 }
 
-/// Replay one non-create op through the same session methods the live
-/// router uses, keeping the spec map in sync exactly as `append` does.
-fn apply_wal_op(
-    session: &mut PandaSession,
-    op: &WalOp,
-    specs: &mut HashMap<String, String>,
-) -> Result<(), String> {
-    match op {
-        WalOp::UpsertLf { spec } => {
-            let lf = spec.build()?;
-            session.upsert_lf_incremental(lf)?;
-            specs.insert(
-                spec.name.clone(),
-                serde_json::to_string(spec).map_err(|e| e.0)?,
-            );
-        }
-        WalOp::RemoveLf { name } => {
-            session.remove_lf_incremental(name);
-            specs.remove(name);
-        }
-        WalOp::Fit => session.fit(),
-        WalOp::Label {
-            candidate,
-            is_match,
-        } => {
-            let i = *candidate as usize;
-            if i >= session.candidates().len() {
-                return Err(format!("label index {i} out of range"));
+/// Read a session directory: the snapshot, if any, and every WAL record.
+/// A torn final WAL line (crash mid-append) is dropped: its op was never
+/// acknowledged. Any other unparsable line, or a gap between records in
+/// the file (even ones the snapshot covers), is corruption.
+fn read_parts(dir: &Path) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+    let snap_path = dir.join(SNAPSHOT_FILE);
+    let snapshot = if snap_path.exists() {
+        let text = fs::read_to_string(&snap_path)
+            .map_err(|e| format!("read {}: {e}", snap_path.display()))?;
+        Some(serde_json::from_str(&text).map_err(|e| format!("snapshot: {}", e.0))?)
+    } else {
+        None
+    };
+    let wal_path = dir.join(WAL_FILE);
+    let mut records: Vec<WalRecord> = Vec::new();
+    if wal_path.exists() {
+        let text = fs::read_to_string(&wal_path)
+            .map_err(|e| format!("read {}: {e}", wal_path.display()))?;
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if line.trim().is_empty() {
+                continue;
             }
-            session.label_pair(i, *is_match);
+            let rec: WalRecord = match serde_json::from_str(line) {
+                Ok(rec) => rec,
+                Err(_) if i + 1 == lines.len() => {
+                    panda_obs::counter_add("persist.wal.torn_tail", 1);
+                    break;
+                }
+                Err(e) => return Err(format!("WAL line {}: {}", i + 1, e.0)),
+            };
+            if let Some(prev) = records.last() {
+                if rec.seq != prev.seq + 1 {
+                    return Err(format!("WAL gap: record {} follows {}", rec.seq, prev.seq));
+                }
+            }
+            records.push(rec);
         }
-        WalOp::Create { .. } => return Err("unexpected nested create".into()),
     }
-    Ok(())
+    Ok((snapshot, records))
 }
 
-/// Metadata of one durably appended WAL record, for replication: the
-/// primary ships `line` verbatim so followers replay byte-identical
-/// records.
-#[derive(Debug, Clone)]
-pub struct Appended {
-    /// The record's sequence number.
-    pub seq: u64,
-    /// Post-op matrix digest logged with the record.
-    pub digest: u64,
-    /// The serialized JSONL line (no trailing newline).
-    pub line: String,
-}
-
-/// Per-session persistence handle: the open WAL plus the bookkeeping to
-/// compact it. All calls happen under the session's mutex, so WAL writes
+/// Per-session persistence handle over the session directory: appends
+/// and fsyncs WAL lines, writes snapshots (resetting the WAL), and reads
+/// both back. All calls happen under the session's mutex, so WAL writes
 /// and the snapshot-then-truncate sequence are never concurrent.
 pub struct SessionPersist {
     dir: PathBuf,
     wal: File,
-    seq: u64,
     ops_since_snapshot: u64,
     snapshot_every: u64,
-    request: CreateSessionRequest,
-    /// LF name → wire-spec JSON for every spec-backed LF currently
-    /// registered — the dehydration recipe map.
-    specs: HashMap<String, String>,
     broken: bool,
 }
 
 impl SessionPersist {
-    /// Durably log one applied op: serialize, append, fsync — then
-    /// compact when the snapshot cadence is due. Must be called *after*
-    /// the op was applied to `session` (the record carries the resulting
-    /// matrix digest) and *before* the response is acknowledged. Returns
-    /// the appended record so the caller can ship it to followers.
-    pub fn append(&mut self, op: WalOp, session: &PandaSession) -> Result<Appended, String> {
+    /// Durably append one serialized [`WalRecord`]: write, then fsync.
+    /// Called *after* the op was applied (the record carries the
+    /// resulting matrix digest) and *before* the response is
+    /// acknowledged. A failure latches the handle broken.
+    pub fn append(&mut self, line: &str) -> Result<(), String> {
         if self.broken {
             return Err(BROKEN_MSG.into());
         }
-        let spec_entry = match &op {
-            WalOp::UpsertLf { spec } => Some((
-                spec.name.clone(),
-                serde_json::to_string(spec).map_err(|e| e.0)?,
-            )),
-            _ => None,
-        };
-        let rec = WalRecord {
-            seq: self.seq + 1,
-            digest: session.matrix().digest(),
-            op,
-        };
-        let line = serde_json::to_string(&rec).map_err(|e| e.0)?;
         let written = (|| -> std::io::Result<()> {
             self.wal.write_all(line.as_bytes())?;
             self.wal.write_all(b"\n")?;
@@ -603,43 +524,24 @@ impl SessionPersist {
             panda_obs::counter_add("persist.wal.append_failed", 1);
             return Err(format!("WAL append failed: {e}"));
         }
-        self.seq += 1;
         self.ops_since_snapshot += 1;
         panda_obs::counter_add("persist.wal.appends", 1);
-        match (&rec.op, spec_entry) {
-            (WalOp::UpsertLf { .. }, Some((name, json))) => {
-                self.specs.insert(name, json);
-            }
-            (WalOp::RemoveLf { name }, _) => {
-                self.specs.remove(name);
-            }
-            _ => {}
-        }
-        if self.snapshot_every > 0 && self.ops_since_snapshot >= self.snapshot_every {
-            if let Err(msg) = self.write_snapshot(session) {
-                // The record itself is already durable; a failed
-                // compaction only costs replay time now and blocks
-                // *future* appends fast via `broken`.
-                eprintln!("panda-serve: snapshot compaction failed: {msg}");
-            }
-        }
-        Ok(Appended {
-            seq: self.seq,
-            digest: rec.digest,
-            line,
-        })
+        Ok(())
     }
 
-    /// Dehydrate the session into `snapshot.json` (tmp + fsync + rename,
-    /// then dir fsync) and reset the WAL. Used by the compaction cadence,
-    /// LRU eviction, and graceful shutdown.
-    pub fn write_snapshot(&mut self, session: &PandaSession) -> Result<(), String> {
+    /// Whether the snapshot cadence calls for a compaction now.
+    pub fn compaction_due(&self) -> bool {
+        self.snapshot_every > 0 && self.ops_since_snapshot >= self.snapshot_every
+    }
+
+    /// Write `snap` to `snapshot.json` (tmp + fsync + rename, then dir
+    /// fsync) and reset the WAL. Used by the compaction cadence, LRU
+    /// eviction, handoff adoption and graceful shutdown.
+    pub fn write_snapshot(&mut self, snap: &SnapshotFile) -> Result<(), String> {
         if self.broken {
             return Err(BROKEN_MSG.into());
         }
-        let _span = panda_obs::span("persist.snapshot.write");
-        let snap = self.snapshot_file(session)?;
-        let json = serde_json::to_string(&snap).map_err(|e| e.0)?;
+        let json = serde_json::to_string(snap).map_err(|e| e.0)?;
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let result = (|| -> std::io::Result<()> {
             let mut f = File::create(&tmp)?;
@@ -673,69 +575,10 @@ impl SessionPersist {
         self.ops_since_snapshot
     }
 
-    /// Sequence number of the last durably appended record.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The original create request this handle persists for.
-    pub fn request(&self) -> &CreateSessionRequest {
-        &self.request
-    }
-
-    /// Build (without writing) the snapshot `write_snapshot` would
-    /// persist right now — the full-sync payload replication ships to a
-    /// freshly subscribed follower.
-    pub fn snapshot_file(&self, session: &PandaSession) -> Result<SnapshotFile, String> {
-        let specs = &self.specs;
-        let state = session.dehydrate(&|name| specs.get(name).cloned())?;
-        Ok(SnapshotFile {
-            format: SNAPSHOT_FORMAT,
-            last_seq: self.seq,
-            config_digest: config_digest(&self.request),
-            request: self.request.clone(),
-            state,
-        })
-    }
-
-    /// Read the on-disk snapshot + WAL tail for a cross-shard handoff.
-    /// Runs under the session lock, so the files are quiescent. A torn
-    /// final WAL line is dropped (its op was never acknowledged); any
-    /// other parse failure is an error.
-    pub fn disk_parts(&self) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
-        let snap_path = self.dir.join(SNAPSHOT_FILE);
-        let snapshot = if snap_path.exists() {
-            let text = fs::read_to_string(&snap_path)
-                .map_err(|e| format!("read {}: {e}", snap_path.display()))?;
-            Some(
-                serde_json::from_str::<SnapshotFile>(&text)
-                    .map_err(|e| format!("snapshot: {}", e.0))?,
-            )
-        } else {
-            None
-        };
-        let wal_path = self.dir.join(WAL_FILE);
-        let mut tail = Vec::new();
-        if wal_path.exists() {
-            let text = fs::read_to_string(&wal_path)
-                .map_err(|e| format!("read {}: {e}", wal_path.display()))?;
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<WalRecord>(line) {
-                    Ok(rec) => tail.push(rec),
-                    Err(e) => {
-                        if i + 1 == lines.len() {
-                            break;
-                        }
-                        return Err(format!("WAL line {}: {}", i + 1, e.0));
-                    }
-                }
-            }
-        }
-        Ok((snapshot, tail))
+    /// Read the on-disk snapshot + WAL records back for a cross-shard
+    /// handoff. Runs under the session lock, so the files are quiescent.
+    pub fn read_back(&self) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+        read_parts(&self.dir)
     }
 }
 

@@ -7,10 +7,10 @@
 //! per-session cursors, and receives a length-prefixed frame stream:
 //! full-state [`ReplMsg::Sync`] snapshots for sessions it is behind on,
 //! then every acknowledged WAL record ([`ReplMsg::Record`]) verbatim —
-//! the same JSONL line `SessionPersist::append` fsynced, carrying seq +
-//! post-op matrix digest. Followers apply records through the identical
-//! digest-verified replay path crash recovery uses
-//! ([`crate::persist::Replayer`] rules), so follower state is
+//! the same JSONL line the primary's WAL fsynced, carrying seq + post-op
+//! matrix digest. Followers apply records through the digest-verified
+//! replay step crash recovery uses ([`crate::state::AppState::rebuild`]
+//! and `SessionSlot::replay`), so follower state is
 //! bit-identical to the primary's — `/match` and debug-query responses
 //! compare byte-for-byte. A record that fails the gap or digest check
 //! quarantines the session (reads answer 409) instead of serving wrong
@@ -35,7 +35,7 @@ use crate::state::AppState;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -132,7 +132,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Consistent-hash shard map: every peer contributes [`VNODES`] points
+/// Consistent-hash shard map: every peer contributes `VNODES` points
 /// on a 64-bit ring; a session id is owned by the peer whose point is
 /// the first at or clockwise of the id's hash.
 #[derive(Debug, Clone)]
@@ -550,13 +550,6 @@ fn read_available(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<
     }
 }
 
-fn resolve(addr: &str) -> Result<SocketAddr, String> {
-    addr.to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{addr} resolves to no address"))
-}
-
 fn follower_should_exit(state: &AppState) -> bool {
     state.shutdown_requested() || !state.is_follower()
 }
@@ -605,7 +598,7 @@ fn follower_connect(
     events: &mut [EpollEvent],
     primary: &str,
 ) -> Result<Option<TcpStream>, String> {
-    let addr = resolve(primary)?;
+    let addr = crate::client::resolve(primary)?;
     let (stream, done) = net::connect_start(&addr).map_err(|e| e.to_string())?;
     if !done {
         epoll
@@ -739,49 +732,6 @@ fn follower_apply_loop(
         }
     }
     epoll.del(stream.as_raw_fd());
-}
-
-/// A minimal one-shot HTTP POST (Connection: close) used by
-/// `/rebalance` to hand a session to the target shard. Blocking with
-/// timeouts — rebalance is an operator action on a worker thread, not
-/// event-loop traffic.
-pub fn http_post(
-    addr: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> Result<(u16, String), String> {
-    let sockaddr = resolve(addr)?;
-    let mut stream = TcpStream::connect_timeout(&sockaddr, timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    let req = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(req.as_bytes())
-        .map_err(|e| format!("send to {addr}: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@ use crate::api::{
     MatchResponse, PromoteResponse, QueryRequest, RebalanceRequest, RebalanceResponse,
     SessionListEntry, SessionListResponse, SessionResponse, ShardMapDto,
 };
+use crate::client;
 use crate::http::{Request, Response};
-use crate::persist::WalOp;
-use crate::repl::{self, HandoffRequest};
+use crate::persist::{OpError, WalOp};
+use crate::repl::HandoffRequest;
 use crate::state::{AppState, SessionSlot};
 use panda_session::PandaSession;
 use panda_table::CandidatePair;
@@ -133,12 +134,9 @@ fn dispatch(state: &AppState, req: &Request) -> (&'static str, Response) {
                 "POST" => (
                     route,
                     primary_only(state).unwrap_or_else(|| {
-                        with_slot(state, id, |id, slot| {
-                            slot.session.fit();
-                            if let Err(msg) = slot.log_op(WalOp::Fit) {
-                                return persist_error(msg);
-                            }
-                            session_body(id, &mut slot.session)
+                        with_slot(state, id, |id, slot| match slot.execute(WalOp::Fit) {
+                            Ok(()) => session_body(id, &mut slot.session),
+                            Err(e) => op_error(e),
                         })
                     }),
                 ),
@@ -198,28 +196,9 @@ fn create_session(state: &AppState, req: &Request) -> Response {
         Ok(b) => b,
         Err(resp) => return resp,
     };
-    let config = match body.config.clone().unwrap_or_default().resolve() {
-        Ok(c) => c,
-        Err(msg) => return error(400, "bad_config", msg),
-    };
-    let tables = match crate::api::build_tables(&body) {
-        Ok(t) => t,
-        Err(msg) => return error(400, "bad_tables", msg),
-    };
-    let session = PandaSession::load(tables, config);
-    if session.candidates().is_empty() {
-        // Same contract as `panda match` on the CLI: zero candidates is a
-        // client problem (blocking found nothing), never a silent success.
-        return error(
-            422,
-            "no_candidates",
-            "blocking produced zero candidate pairs; loosen blocking_min_cosine \
-             or check the input tables",
-        );
-    }
-    let id = match state.create(session, Some(&body)) {
+    let id = match state.create(body) {
         Ok(id) => id,
-        Err(msg) => return persist_error(msg),
+        Err(e) => return op_error(e),
     };
     let guard = state.get(id).expect("just inserted");
     let mut slot = guard.lock().unwrap_or_else(|e| e.into_inner());
@@ -263,8 +242,9 @@ fn list_sessions(state: &AppState) -> Response {
 }
 
 fn delete_session(state: &AppState, id: &str) -> Response {
-    let Some(id) = parse_id(id) else {
-        return error(404, "unknown_session", format!("bad session id {id:?}"));
+    let id = match owned_id(state, id) {
+        Ok(id) => id,
+        Err(resp) => return resp,
     };
     if state.remove(id) {
         Response::json(200, r#"{"status":"deleted"}"#)
@@ -278,25 +258,18 @@ fn add_lf(state: &AppState, id: &str, req: &Request) -> Response {
         Ok(b) => b,
         Err(resp) => return resp,
     };
-    let lf = match spec.build() {
-        Ok(lf) => lf,
+    // A bad spec is a 400 before any session lookup.
+    let name = match spec.build() {
+        Ok(lf) => lf.name().to_string(),
         Err(msg) => return error(400, "bad_lf", msg),
     };
-    let name = lf.name().to_string();
     with_slot(state, id, move |_, slot| {
-        match slot.session.upsert_lf_incremental(lf) {
-            // An LF that panics on some pair is the user's bug, reported
-            // cleanly; the session has already rolled the edit back.
-            Err(msg) => error(422, "lf_failed", msg),
-            Ok(()) => {
-                if let Err(msg) = slot.log_op(WalOp::UpsertLf { spec }) {
-                    return persist_error(msg);
-                }
-                json_200(&LfResponse {
-                    lf: name,
-                    n_lfs: slot.session.registry().lfs().len(),
-                })
-            }
+        match slot.execute(WalOp::UpsertLf { spec }) {
+            Ok(()) => json_200(&LfResponse {
+                lf: name,
+                n_lfs: slot.session.registry().lfs().len(),
+            }),
+            Err(e) => op_error(e),
         }
     })
 }
@@ -304,13 +277,9 @@ fn add_lf(state: &AppState, id: &str, req: &Request) -> Response {
 fn remove_lf(state: &AppState, id: &str, name: &str) -> Response {
     let name = name.to_string();
     with_slot(state, id, move |_, slot| {
-        if slot.session.remove_lf_incremental(&name) {
-            if let Err(msg) = slot.log_op(WalOp::RemoveLf { name }) {
-                return persist_error(msg);
-            }
-            Response::json(200, r#"{"status":"removed"}"#)
-        } else {
-            error(404, "unknown_lf", format!("no LF named {name:?}"))
+        match slot.execute(WalOp::RemoveLf { name }) {
+            Ok(()) => Response::json(200, r#"{"status":"removed"}"#),
+            Err(e) => op_error(e),
         }
     })
 }
@@ -321,28 +290,17 @@ fn label_candidate(state: &AppState, id: &str, req: &Request) -> Response {
         Err(resp) => return resp,
     };
     with_slot(state, id, move |_, slot| {
-        let i = body.candidate as usize;
-        if i >= slot.session.candidates().len() {
-            return error(
-                422,
-                "bad_candidate",
-                format!(
-                    "candidate {i} out of range ({} candidate pairs)",
-                    slot.session.candidates().len()
-                ),
-            );
-        }
-        slot.session.label_pair(i, body.is_match);
-        if let Err(msg) = slot.log_op(WalOp::Label {
+        let op = WalOp::Label {
             candidate: body.candidate,
             is_match: body.is_match,
-        }) {
-            return persist_error(msg);
+        };
+        match slot.execute(op) {
+            Ok(()) => json_200(&LabelResponse {
+                candidate: body.candidate,
+                n_user_labels: slot.session.em_stats().n_user_labels,
+            }),
+            Err(e) => op_error(e),
         }
-        json_200(&LabelResponse {
-            candidate: body.candidate,
-            n_user_labels: slot.session.em_stats().n_user_labels,
-        })
     })
 }
 
@@ -439,7 +397,13 @@ fn rebalance(state: &AppState, req: &Request) -> Response {
         Ok(p) => p,
         Err(e) => return error(500, "encode_failed", e.0),
     };
-    match repl::http_post(&body.target, "/handoff", &payload, Duration::from_secs(30)) {
+    match client::request(
+        &body.target,
+        "POST",
+        "/handoff",
+        &payload,
+        Duration::from_secs(30),
+    ) {
         Ok((200, _)) => {
             // The target holds the session now; dropping it here also
             // ships a Delete to this shard's own followers.
@@ -487,14 +451,14 @@ fn adopt_handoff(state: &AppState, req: &Request) -> Response {
             );
         }
     }
-    match crate::persist::rebuild(body.snapshot, &body.tail) {
-        Ok(replayer) => match state.adopt_handoff(body.session, replayer) {
+    match state.rebuild(body.session, body.snapshot, &body.tail) {
+        Ok(slot) => match state.adopt_handoff(slot) {
             Ok(()) => Response::json(200, r#"{"status":"adopted"}"#),
             Err(msg) => error(409, "adopt_failed", msg),
         },
-        Err(msg) => {
+        Err(e) => {
             panda_obs::counter_add_labeled("repl.quarantines", &[("reason", "handoff")], 1);
-            error(422, "handoff_invalid", msg)
+            error(422, "handoff_invalid", e.to_string())
         }
     }
 }
@@ -566,6 +530,22 @@ fn quarantined_409(state: &AppState, id: u64) -> Option<Response> {
     ))
 }
 
+/// Parse a session handle from the path and check that this shard
+/// serves it: 404 on a bad handle, 421 when another shard owns it.
+fn owned_id(state: &AppState, raw: &str) -> Result<u64, Response> {
+    let Some(id) = parse_id(raw) else {
+        return Err(error(
+            404,
+            "unknown_session",
+            format!("bad session id {raw:?}"),
+        ));
+    };
+    match misdirected_421(state, id) {
+        Some(resp) => Err(resp),
+        None => Ok(id),
+    }
+}
+
 /// Look up a session slot (rehydrating it if evicted) and run `f` under
 /// its lock; 404 on a bad handle, 421 when another shard owns it, 409
 /// when it is quarantined.
@@ -574,12 +554,10 @@ fn with_slot(
     id: &str,
     f: impl FnOnce(u64, &mut SessionSlot) -> Response,
 ) -> Response {
-    let Some(id) = parse_id(id) else {
-        return error(404, "unknown_session", format!("bad session id {id:?}"));
+    let id = match owned_id(state, id) {
+        Ok(id) => id,
+        Err(resp) => return resp,
     };
-    if let Some(resp) = misdirected_421(state, id) {
-        return resp;
-    }
     if let Some(resp) = quarantined_409(state, id) {
         return resp;
     }
@@ -651,11 +629,25 @@ pub(crate) fn render_events_body(tail: &panda_obs::JournalTail) -> String {
     body
 }
 
-/// The edit was applied in memory but could not be made durable: the
-/// client sees a 500 and must treat the op as not acknowledged.
-fn persist_error(msg: String) -> Response {
-    panda_obs::counter_add("serve.persist_failed_500", 1);
-    error(500, "persist_failed", msg)
+/// The response for a refused or undurable session mutation.
+fn op_error(e: OpError) -> Response {
+    let (status, code) = match &e {
+        OpError::BadConfig(_) => (400, "bad_config"),
+        OpError::BadTables(_) => (400, "bad_tables"),
+        OpError::BadLf(_) => (400, "bad_lf"),
+        OpError::NoCandidates => (422, "no_candidates"),
+        OpError::LfFailed(_) => (422, "lf_failed"),
+        OpError::BadCandidate { .. } => (422, "bad_candidate"),
+        OpError::UnknownLf(_) => (404, "unknown_lf"),
+        OpError::NestedCreate => (409, "session_exists"),
+        // Applied in memory but not durable: the client must treat the
+        // op as not acknowledged.
+        OpError::Persist(_) => {
+            panda_obs::counter_add("serve.persist_failed_500", 1);
+            (500, "persist_failed")
+        }
+    };
+    error(status, code, e.to_string())
 }
 
 /// The standard session body: handle + fresh snapshot.

@@ -10,7 +10,15 @@
 //! worker held it) is recovered — the session rolls back failed edits
 //! itself, so its state stays coherent.
 //!
-//! With a [`SessionStore`] attached, every entry pairs its session with a
+//! Every session mutation goes through one apply step on
+//! [`SessionSlot`]: live requests call [`SessionSlot::execute`], which
+//! applies a [`WalOp`] and logs it as the next WAL record; crash
+//! recovery, the follower apply loop and `/handoff` rebuild sessions
+//! with [`AppState::rebuild`], which feeds each logged record to
+//! `SessionSlot::replay` — the same apply step plus the duplicate, gap
+//! and digest checks.
+//!
+//! With a [`SessionStore`] attached, every slot carries a
 //! [`SessionPersist`] WAL handle, startup replays the state directory,
 //! LRU entries beyond `max_sessions` are **evicted to snapshot** (the
 //! entry stays in the map with `slot: None` and transparently rehydrates
@@ -18,8 +26,8 @@
 
 use crate::api::CreateSessionRequest;
 use crate::persist::{
-    self, config_digest, SessionPersist, SessionStore, SnapshotFile, WalOp, WalRecord,
-    SNAPSHOT_FORMAT,
+    check_digest, config_digest, OpError, Recipe, ReplayError, SessionPersist, SessionStore,
+    SnapshotFile, WalOp, WalRecord,
 };
 use crate::repl::{ReplHub, ReplMsg, SessionCursor, ShardRing};
 use panda_session::PandaSession;
@@ -30,9 +38,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Lock-free per-session replication metadata, shared between the slot
-/// (writers: `log_op`, the follower apply loop) and the session-table
-/// entry (reader: `GET /sessions`), so listings report `wal_seq` +
-/// `matrix_digest` without taking session locks behind a long fit.
+/// (writer: every applied op) and the session-table entry (reader:
+/// `GET /sessions`), so listings report `wal_seq` + `matrix_digest`
+/// without taking session locks behind a long fit.
 pub struct SlotMeta {
     wal_seq: AtomicU64,
     digest: AtomicU64,
@@ -52,108 +60,181 @@ impl SlotMeta {
     }
 }
 
-/// The replay recipe a session carries when it has no on-disk persist
-/// handle: follower replicas and sessions adopted on a store-less shard.
-/// Holds exactly what `SessionPersist` would — the create request, the
-/// LF spec map, and the applied seq — so the session can still be
-/// dehydrated for sync frames and onward rebalances.
-pub(crate) struct ReplayRecipe {
-    pub(crate) last_seq: u64,
-    pub(crate) specs: HashMap<String, String>,
-    pub(crate) request: CreateSessionRequest,
-}
-
 /// The hub handle shared by every slot: set once by `Server::start`
 /// when `--repl-addr` is configured, read on every logged op.
 type HubCell = Arc<OnceLock<Arc<ReplHub>>>;
 
-/// A live session plus its persistence handle (absent when the server
-/// runs without `--state-dir`).
+/// A live session, the recipe it can be rebuilt from, and its
+/// persistence handle (absent without `--state-dir` and on followers).
 pub struct SessionSlot {
     /// The session itself.
     pub session: PandaSession,
+    recipe: Recipe,
     persist: Option<SessionPersist>,
-    recipe: Option<ReplayRecipe>,
     meta: Arc<SlotMeta>,
     id: u64,
     hub: HubCell,
 }
 
 impl SessionSlot {
-    /// Durably log an already-applied op (no-op without a store), update
-    /// the listing metadata, and ship the record to followers. Called
-    /// before the response is acknowledged; an error must surface as a
-    /// 500 so the client knows the edit is not durable.
-    pub fn log_op(&mut self, op: WalOp) -> Result<(), String> {
-        match &mut self.persist {
-            Some(p) => {
-                let appended = p.append(op, &self.session)?;
-                self.meta.set(appended.seq, appended.digest);
-                if let Some(hub) = self.hub.get() {
-                    hub.ship_record(self.id, &appended.line);
-                }
-                Ok(())
+    fn new(id: u64, (session, recipe): (PandaSession, Recipe), hub: &HubCell) -> SessionSlot {
+        SessionSlot {
+            meta: SlotMeta::new(recipe.last_seq, session.matrix().digest()),
+            session,
+            recipe,
+            persist: None,
+            id,
+            hub: Arc::clone(hub),
+        }
+    }
+
+    /// Run one mutation from a live request: validate and apply `op`,
+    /// then log it as the next WAL record (fsynced with a store, and
+    /// shipped to followers) before the response is acknowledged. On
+    /// any error but [`OpError::Persist`] the session is unchanged;
+    /// `Persist` means the op is applied in memory but not durable, so
+    /// the client must treat it as not acknowledged.
+    pub fn execute(&mut self, op: WalOp) -> Result<(), OpError> {
+        self.apply(&op)?;
+        self.log(op)
+    }
+
+    /// Replay one logged record through the same apply step. `Ok(false)`
+    /// means it was skipped as a duplicate (already covered by the
+    /// snapshot, or a replication resend); a gap, a failed op or a
+    /// digest mismatch is an error, and the caller quarantines instead
+    /// of serving wrong state.
+    pub(crate) fn replay(&mut self, rec: &WalRecord) -> Result<bool, ReplayError> {
+        let last = self.recipe.last_seq;
+        if rec.seq <= last {
+            return Ok(false);
+        }
+        if rec.seq != last + 1 {
+            return Err(ReplayError::Gap(format!(
+                "seq gap: record {} follows {last}",
+                rec.seq
+            )));
+        }
+        self.apply(&rec.op)
+            .map_err(|e| ReplayError::Apply(format!("WAL seq {}: {e}", rec.seq)))?;
+        check_digest(rec.seq, rec.digest, &self.session)?;
+        self.recipe.last_seq = rec.seq;
+        self.meta.set(rec.seq, rec.digest);
+        Ok(true)
+    }
+
+    /// Apply one op to the session and keep the LF spec map in step.
+    fn apply(&mut self, op: &WalOp) -> Result<(), OpError> {
+        let session = &mut self.session;
+        match op {
+            WalOp::Create { .. } => return Err(OpError::NestedCreate),
+            WalOp::UpsertLf { spec } => {
+                let lf = spec.build().map_err(OpError::BadLf)?;
+                // An LF that panics on some pair is the user's bug; the
+                // session has already rolled the edit back.
+                session
+                    .upsert_lf_incremental(lf)
+                    .map_err(OpError::LfFailed)?;
+                let json = serde_json::to_string(spec).map_err(|e| OpError::Persist(e.0))?;
+                self.recipe.specs.insert(spec.name.clone(), json);
             }
-            None => {
-                // No WAL: keep the recipe and listing metadata coherent
-                // so a promoted ex-follower can still be listed, synced,
-                // and rebalanced accurately.
-                let seq = self.meta.wal_seq.load(Ordering::SeqCst) + 1;
-                if let Some(recipe) = &mut self.recipe {
-                    recipe.last_seq = seq;
-                    match &op {
-                        WalOp::UpsertLf { spec } => {
-                            recipe.specs.insert(
-                                spec.name.clone(),
-                                serde_json::to_string(spec).map_err(|e| e.0)?,
-                            );
-                        }
-                        WalOp::RemoveLf { name } => {
-                            recipe.specs.remove(name);
-                        }
-                        _ => {}
+            WalOp::RemoveLf { name } => {
+                if !session.remove_lf_incremental(name) {
+                    return Err(OpError::UnknownLf(name.clone()));
+                }
+                self.recipe.specs.remove(name);
+            }
+            WalOp::Fit => session.fit(),
+            WalOp::Label {
+                candidate,
+                is_match,
+            } => {
+                let candidates = session.candidates().len();
+                match usize::try_from(*candidate) {
+                    Ok(i) if i < candidates => session.label_pair(i, *is_match),
+                    _ => {
+                        return Err(OpError::BadCandidate {
+                            index: *candidate,
+                            candidates,
+                        })
                     }
                 }
-                self.meta.set(seq, self.session.matrix().digest());
-                Ok(())
             }
         }
+        Ok(())
+    }
+
+    /// Record an applied op as the next WAL record: append and ship it
+    /// when persisted, publish the listing metadata, and compact when
+    /// the snapshot cadence is due.
+    fn log(&mut self, op: WalOp) -> Result<(), OpError> {
+        let rec = WalRecord {
+            seq: self.recipe.last_seq + 1,
+            digest: self.session.matrix().digest(),
+            op,
+        };
+        if let Some(persist) = &mut self.persist {
+            let line = serde_json::to_string(&rec).map_err(|e| OpError::Persist(e.0))?;
+            persist.append(&line).map_err(OpError::Persist)?;
+            if let Some(hub) = self.hub.get() {
+                hub.ship_record(self.id, &line);
+            }
+        }
+        self.recipe.last_seq = rec.seq;
+        self.meta.set(rec.seq, rec.digest);
+        if self
+            .persist
+            .as_ref()
+            .is_some_and(SessionPersist::compaction_due)
+        {
+            if let Err(msg) = self.write_snapshot() {
+                // The record itself is already durable; a failed
+                // compaction only costs replay time now and blocks
+                // *future* appends fast via the latched handle.
+                eprintln!("panda-serve: snapshot compaction failed: {msg}");
+            }
+        }
+        Ok(())
+    }
+
+    /// Snapshot the session into its store and reset the WAL; the span
+    /// covers dehydration and the write.
+    fn write_snapshot(&mut self) -> Result<(), String> {
+        let _span = panda_obs::span("persist.snapshot.write");
+        let persist = self.persist.as_mut().ok_or("session has no store")?;
+        let snap = self
+            .recipe
+            .snapshot(&self.session)?
+            .ok_or("session has no create request")?;
+        persist.write_snapshot(&snap)
     }
 
     /// The highest acknowledged sequence number for this session.
     pub fn wal_seq(&self) -> u64 {
-        self.meta.wal_seq.load(Ordering::SeqCst)
+        self.recipe.last_seq
     }
 
-    /// Build the full-state snapshot replication ships to a follower.
-    /// `Ok(None)` for sessions with no replay recipe (library/test
-    /// inserts) — they cannot be replicated.
-    pub(crate) fn sync_snapshot(&self) -> Result<Option<SnapshotFile>, String> {
-        if let Some(p) = &self.persist {
-            return Ok(Some(p.snapshot_file(&self.session)?));
-        }
-        if let Some(recipe) = &self.recipe {
-            let specs = &recipe.specs;
-            let state = self.session.dehydrate(&|name| specs.get(name).cloned())?;
-            return Ok(Some(SnapshotFile {
-                format: SNAPSHOT_FORMAT,
-                last_seq: recipe.last_seq,
-                config_digest: config_digest(&recipe.request),
-                request: recipe.request.clone(),
-                state,
-            }));
-        }
-        Ok(None)
+    /// The serialized `Sync` frame replication ships to a follower.
+    /// `Ok(None)` for library inserts, which cannot be replicated.
+    fn sync_frame(&self) -> Result<Option<String>, String> {
+        let Some(snapshot) = self.recipe.snapshot(&self.session)? else {
+            return Ok(None);
+        };
+        let msg = ReplMsg::Sync {
+            session: self.id,
+            snapshot,
+        };
+        serde_json::to_string(&msg).map(Some).map_err(|e| e.0)
     }
 
     /// The snapshot + WAL-tail parts `/rebalance` ships to the target
-    /// shard: the on-disk pair when persisted, a fresh dehydration when
-    /// only a recipe exists.
+    /// shard: the on-disk pair when persisted, a fresh snapshot
+    /// otherwise.
     pub(crate) fn handoff_parts(&self) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
         if let Some(p) = &self.persist {
-            return p.disk_parts();
+            return p.read_back();
         }
-        match self.sync_snapshot()? {
+        match self.recipe.snapshot(&self.session)? {
             Some(snap) => Ok((Some(snap), Vec::new())),
             None => Err(
                 "session has no replay recipe (library insert without a create request); \
@@ -161,31 +242,6 @@ impl SessionSlot {
                     .into(),
             ),
         }
-    }
-
-    /// Apply one shipped WAL record through the same digest-verified
-    /// rules crash recovery uses. `Ok(false)` = duplicate skipped.
-    fn apply_replica_record(&mut self, rec: &WalRecord) -> Result<bool, String> {
-        let recipe = self
-            .recipe
-            .as_mut()
-            .ok_or("session is not a replica (no replay recipe)")?;
-        if rec.seq <= recipe.last_seq {
-            return Ok(false);
-        }
-        if let WalOp::Create { .. } = &rec.op {
-            return Err(format!("duplicate create record at seq {}", rec.seq));
-        }
-        let applied = persist::apply_record(
-            &mut self.session,
-            &mut recipe.specs,
-            &mut recipe.last_seq,
-            rec,
-        )?;
-        if applied {
-            self.meta.set(recipe.last_seq, rec.digest);
-        }
-        Ok(applied)
     }
 }
 
@@ -284,35 +340,28 @@ impl AppState {
             Some(dir) => Some(SessionStore::open(dir, options.snapshot_every)?),
             None => None,
         };
-        let hub: HubCell = Arc::new(OnceLock::new());
-        let mut entries = HashMap::new();
-        let mut next_id = 1u64;
-        if let Some(store) = &store {
+        let state = AppState {
+            entries: Mutex::new(HashMap::new()),
+            store,
+            max_live: options.max_sessions,
+            ttl: options.session_ttl,
+            rehydrate_lock: Mutex::new(()),
+            next_id: AtomicU64::new(1),
+            shutdown: AtomicBool::new(false),
+            follower: AtomicBool::new(options.follower),
+            primary_http: Mutex::new(None),
+            ring: options.ring,
+            hub: Arc::new(OnceLock::new()),
+        };
+        if let Some(store) = &state.store {
             let _span = panda_obs::span("serve.recover");
             let mut ids = store.scan();
             ids.sort_unstable();
             for id in ids {
-                next_id = next_id.max(id + 1);
-                match store.recover(id) {
-                    Ok(rec) => {
-                        let meta = SlotMeta::new(rec.persist.seq(), rec.session.matrix().digest());
-                        entries.insert(
-                            id,
-                            Entry {
-                                slot: Some(Arc::new(Mutex::new(SessionSlot {
-                                    session: rec.session,
-                                    persist: Some(rec.persist),
-                                    recipe: None,
-                                    meta: Arc::clone(&meta),
-                                    id,
-                                    hub: Arc::clone(&hub),
-                                }))),
-                                last_touch: Instant::now(),
-                                recovered: true,
-                                quarantined: false,
-                                meta,
-                            },
-                        );
+                state.next_id.fetch_max(id + 1, Ordering::Relaxed);
+                match state.recover(id) {
+                    Ok(slot) => {
+                        state.install(&mut lock_map(&state), slot, true);
                         panda_obs::counter_add("serve.sessions.recovered", 1);
                     }
                     Err(msg) => {
@@ -321,92 +370,28 @@ impl AppState {
                     }
                 }
             }
-            panda_obs::gauge_set("serve.sessions.live", entries.len() as f64);
+            publish_live_gauge(&lock_map(&state));
         }
-        let state = AppState {
-            entries: Mutex::new(entries),
-            store,
-            max_live: options.max_sessions,
-            ttl: options.session_ttl,
-            rehydrate_lock: Mutex::new(()),
-            next_id: AtomicU64::new(next_id),
-            shutdown: AtomicBool::new(false),
-            follower: AtomicBool::new(options.follower),
-            primary_http: Mutex::new(None),
-            ring: options.ring,
-            hub,
-        };
         state.enforce_capacity(None);
         Ok(state)
     }
 
-    /// Register a session created from a wire request; with a store the
-    /// create record is durably logged before this returns. Returns the
-    /// wire handle.
-    pub fn create(
-        &self,
-        session: PandaSession,
-        request: Option<&CreateSessionRequest>,
-    ) -> Result<u64, String> {
-        // With a shard map, only ids this shard owns are handed out, so
-        // the same id can never be minted on two shards. The ring mixes
-        // peers evenly, so the expected number of skipped ids is the
-        // peer count — cheap, and ids stay unique-per-shard forever.
-        let id = loop {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            match &self.ring {
-                Some(ring) if !ring.owns(id) => continue,
-                _ => break id,
-            }
-        };
-        let mut shipped_create: Option<String> = None;
-        let persist = match (&self.store, request) {
-            (Some(store), Some(req)) => {
-                let (persist, appended) = store.create(id, req, &session)?;
-                shipped_create = Some(appended.line);
-                Some(persist)
-            }
-            _ => None,
-        };
-        let meta = match &persist {
-            Some(p) => SlotMeta::new(p.seq(), session.matrix().digest()),
-            None => SlotMeta::new(0, session.matrix().digest()),
-        };
-        let recipe = match (&persist, request) {
-            (None, Some(req)) => Some(ReplayRecipe {
-                last_seq: 0,
-                specs: HashMap::new(),
-                request: req.clone(),
-            }),
-            _ => None,
-        };
-        let slot = Arc::new(Mutex::new(SessionSlot {
-            session,
-            persist,
-            recipe,
-            meta: Arc::clone(&meta),
-            id,
-            hub: Arc::clone(&self.hub),
-        }));
-        {
-            let mut map = lock_map(self);
-            map.insert(
-                id,
-                Entry {
-                    slot: Some(slot),
-                    last_touch: Instant::now(),
-                    recovered: false,
-                    quarantined: false,
-                    meta,
-                },
-            );
-            // Gauge published under the map lock: a concurrent insert
-            // cannot interleave between the mutation and the publish.
-            publish_live_gauge(&map);
+    /// Create a session from a `POST /sessions` request: load it, log
+    /// the create record (durably, with a store, before this returns)
+    /// and register it. Returns the wire handle.
+    pub fn create(&self, request: CreateSessionRequest) -> Result<u64, OpError> {
+        let loaded = Recipe::load(request)?;
+        let id = self.mint_id();
+        let mut slot = SessionSlot::new(id, loaded, &self.hub);
+        if let Some(store) = &self.store {
+            slot.persist = Some(store.create(id).map_err(OpError::Persist)?);
         }
-        if let (Some(line), Some(hub)) = (shipped_create, self.hub.get()) {
-            hub.ship_record(id, &line);
-        }
+        let request = slot.recipe.request.clone().expect("loaded from a request");
+        slot.log(WalOp::Create {
+            config_digest: config_digest(&request),
+            request,
+        })?;
+        self.install(&mut lock_map(self), slot, false);
         self.enforce_capacity(Some(id));
         Ok(id)
     }
@@ -414,7 +399,97 @@ impl AppState {
     /// Register a session with no backing request (library/test use —
     /// such sessions are never persisted); returns its wire handle.
     pub fn insert(&self, session: PandaSession) -> u64 {
-        self.create(session, None).expect("no store I/O involved")
+        let id = self.mint_id();
+        let slot = SessionSlot::new(id, (session, Recipe::default()), &self.hub);
+        self.install(&mut lock_map(self), slot, false);
+        self.enforce_capacity(Some(id));
+        id
+    }
+
+    /// Hand out a fresh session id. With a shard map, only ids this
+    /// shard owns are handed out, so the same id can never be minted on
+    /// two shards. The ring mixes peers evenly, so the expected number
+    /// of skipped ids is the peer count — cheap, and ids stay
+    /// unique-per-shard forever.
+    fn mint_id(&self) -> u64 {
+        loop {
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            match &self.ring {
+                Some(ring) if !ring.owns(id) => continue,
+                _ => return id,
+            }
+        }
+    }
+
+    /// Register `slot` under its id, replacing any entry there (a full
+    /// sync clears a quarantine this way), and return the shared slot.
+    fn install(
+        &self,
+        map: &mut HashMap<u64, Entry>,
+        slot: SessionSlot,
+        recovered: bool,
+    ) -> Arc<Mutex<SessionSlot>> {
+        let id = slot.id;
+        let meta = Arc::clone(&slot.meta);
+        let slot = Arc::new(Mutex::new(slot));
+        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
+        map.insert(
+            id,
+            Entry {
+                slot: Some(Arc::clone(&slot)),
+                last_touch: Instant::now(),
+                recovered,
+                quarantined: false,
+                meta,
+            },
+        );
+        // Gauge published under the map lock: a concurrent insert
+        // cannot interleave between the mutation and the publish.
+        publish_live_gauge(map);
+        slot
+    }
+
+    /// Rebuild a session from an optional snapshot plus the records
+    /// after it — the path crash recovery, followers and `/handoff`
+    /// share. Without a snapshot the first record must be the create;
+    /// every later record goes through `SessionSlot::replay`.
+    pub fn rebuild(
+        &self,
+        id: u64,
+        snapshot: Option<SnapshotFile>,
+        records: &[WalRecord],
+    ) -> Result<SessionSlot, ReplayError> {
+        let (loaded, rest) = match (snapshot, records) {
+            (Some(snap), _) => (Recipe::rehydrate(snap)?, records),
+            (None, [first, rest @ ..]) => (Recipe::replay_create(first)?, rest),
+            (None, []) => {
+                return Err(ReplayError::Apply(
+                    "no snapshot and no create record — nothing to recover".into(),
+                ))
+            }
+        };
+        let mut slot = SessionSlot::new(id, loaded, &self.hub);
+        for rec in rest {
+            slot.replay(rec)?;
+        }
+        Ok(slot)
+    }
+
+    /// Rebuild a persisted session from its directory (snapshot + WAL
+    /// replay) and re-attach its WAL for appends. Errors quarantine the
+    /// session — its directory is left untouched for inspection.
+    fn recover(&self, id: u64) -> Result<SessionSlot, String> {
+        let store = self.store.as_ref().ok_or("no state directory")?;
+        let _span = panda_obs::span("persist.session.recover");
+        let (snapshot, records) = store.read(id)?;
+        let base = snapshot.as_ref().map_or(0, |s| s.last_seq);
+        let mut slot = self
+            .rebuild(id, snapshot, &records)
+            .map_err(|e| e.to_string())?;
+        // Replay is contiguous, so the records applied past the snapshot
+        // are exactly the seqs it advanced by.
+        slot.persist = Some(store.reopen(id, slot.wal_seq() - base)?);
+        Ok(slot)
     }
 
     /// Look up a session by handle, rehydrating it from its snapshot if
@@ -436,32 +511,17 @@ impl AppState {
             Probe::Missing => return None,
             Probe::Evicted => {}
         }
-        let store = self.store.as_ref()?;
+        // Only a store evicts to snapshot; a slot-less entry without one
+        // is a quarantined replica awaiting its resync.
+        self.store.as_ref()?;
         let _span = panda_obs::span("serve.session.rehydrate");
-        match store.recover(id) {
-            Ok(rec) => {
-                let wal_seq = rec.persist.seq();
-                let digest = rec.session.matrix().digest();
-                let slot_inner = SessionSlot {
-                    session: rec.session,
-                    persist: Some(rec.persist),
-                    recipe: None,
-                    meta: SlotMeta::new(wal_seq, digest), // replaced below
-                    id,
-                    hub: Arc::clone(&self.hub),
-                };
-                let slot = Arc::new(Mutex::new(slot_inner));
-                {
+        match self.recover(id) {
+            Ok(slot) => {
+                let slot = {
                     let mut map = lock_map(self);
-                    let entry = map.get_mut(&id)?; // deleted meanwhile
-                    entry.meta.set(wal_seq, digest);
-                    // Share the entry's meta so listings keep tracking
-                    // this slot's ops.
-                    slot.lock().unwrap_or_else(|e| e.into_inner()).meta = Arc::clone(&entry.meta);
-                    entry.slot = Some(Arc::clone(&slot));
-                    entry.last_touch = Instant::now();
-                    publish_live_gauge(&map);
-                }
+                    let recovered = map.get(&id)?.recovered; // deleted meanwhile
+                    self.install(&mut map, slot, recovered)
+                };
                 panda_obs::counter_add("serve.sessions.rehydrated", 1);
                 drop(guard);
                 self.enforce_capacity(Some(id));
@@ -618,13 +678,10 @@ impl AppState {
             Err(TryLockError::WouldBlock) => return false, // a worker is in it
         };
         if self.store.is_some() {
-            let SessionSlot {
-                session, persist, ..
-            } = &mut *locked;
-            let Some(p) = persist.as_mut() else {
+            if locked.persist.is_none() {
                 return false; // request-less session: nothing to rehydrate from
-            };
-            if let Err(msg) = p.write_snapshot(session) {
+            }
+            if let Err(msg) = locked.write_snapshot() {
                 panda_obs::counter_add("serve.sessions.evict_failed", 1);
                 eprintln!("panda-serve: session {id} not evicted: {msg}");
                 return false;
@@ -661,14 +718,10 @@ impl AppState {
         };
         for (id, slot) in slots {
             let mut locked = slot.lock().unwrap_or_else(|e| e.into_inner());
-            let SessionSlot {
-                session, persist, ..
-            } = &mut *locked;
-            if let Some(p) = persist.as_mut() {
-                if p.wal_depth() == 0 {
-                    continue; // already compact
-                }
-                if let Err(msg) = p.write_snapshot(session) {
+            // Sessions without a WAL, or with nothing past the last
+            // snapshot, are already compact.
+            if locked.persist.as_ref().is_some_and(|p| p.wal_depth() > 0) {
+                if let Err(msg) = locked.write_snapshot() {
                     eprintln!("panda-serve: final snapshot of session {id} failed: {msg}");
                 }
             }
@@ -758,15 +811,10 @@ impl AppState {
             if by_id.get(&id).copied() == Some(locked.wal_seq()) {
                 continue;
             }
-            match locked.sync_snapshot() {
-                Ok(Some(snapshot)) => {
-                    if let Ok(frame) = serde_json::to_string(&ReplMsg::Sync {
-                        session: id,
-                        snapshot,
-                    }) {
-                        panda_obs::counter_add_labeled("repl.shipped", &[("kind", "sync")], 1);
-                        frames.push(frame);
-                    }
+            match locked.sync_frame() {
+                Ok(Some(frame)) => {
+                    panda_obs::counter_add_labeled("repl.shipped", &[("kind", "sync")], 1);
+                    frames.push(frame);
                 }
                 Ok(None) => {} // request-less library insert: not replicable
                 Err(msg) => {
@@ -782,17 +830,17 @@ impl AppState {
     pub fn apply_repl_frame(&self, msg: ReplMsg) {
         match msg {
             ReplMsg::Hello { http_addr } => self.set_primary_http(http_addr),
-            ReplMsg::Sync { session, snapshot } => match persist::Replayer::from_snapshot(snapshot)
+            ReplMsg::Sync { session, snapshot } => match self.rebuild(session, Some(snapshot), &[])
             {
-                Ok(replayer) => match self.install_replica(session, replayer) {
-                    Ok(()) => {
-                        panda_obs::counter_add_labeled("repl.applied", &[("kind", "sync")], 1);
-                    }
-                    Err(msg) => self.quarantine(session, &msg),
-                },
-                Err(msg) => self.quarantine(session, &msg),
+                // Replacing the entry is how a full sync clears a
+                // quarantine.
+                Ok(slot) => {
+                    self.install(&mut lock_map(self), slot, false);
+                    panda_obs::counter_add_labeled("repl.applied", &[("kind", "sync")], 1);
+                }
+                Err(e) => self.quarantine(session, &e),
             },
-            ReplMsg::Record { session, record } => self.apply_replica_record(session, &record),
+            ReplMsg::Record { session, record } => self.replay_shipped(session, &record),
             ReplMsg::Delete { session } => {
                 if self.remove_replica(session) {
                     panda_obs::counter_add_labeled("repl.applied", &[("kind", "delete")], 1);
@@ -803,102 +851,36 @@ impl AppState {
         }
     }
 
-    /// Install (or replace) a replicated session. Replacing is how a
-    /// full sync clears a quarantine.
-    fn install_replica(&self, id: u64, replayer: persist::Replayer) -> Result<(), String> {
-        let persist::Replayer {
-            session,
-            request,
-            specs,
-            last_seq,
-        } = replayer;
-        let session = session.ok_or("sync carries no session")?;
-        let request = request.ok_or("sync carries no create request")?;
-        let meta = SlotMeta::new(last_seq, session.matrix().digest());
-        let slot = Arc::new(Mutex::new(SessionSlot {
-            session,
-            persist: None,
-            recipe: Some(ReplayRecipe {
-                last_seq,
-                specs,
-                request,
-            }),
-            meta: Arc::clone(&meta),
-            id,
-            hub: Arc::clone(&self.hub),
-        }));
-        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-        let mut map = lock_map(self);
-        map.insert(
-            id,
-            Entry {
-                slot: Some(slot),
-                last_touch: Instant::now(),
-                recovered: false,
-                quarantined: false,
-                meta,
-            },
-        );
-        publish_live_gauge(&map);
-        Ok(())
-    }
-
     /// Apply one shipped WAL record to the replica it belongs to.
-    fn apply_replica_record(&self, id: u64, rec: &WalRecord) {
-        let slot = {
-            let map = lock_map(self);
-            map.get(&id).and_then(|e| e.slot.clone())
-        };
-        match slot {
+    fn replay_shipped(&self, id: u64, rec: &WalRecord) {
+        let slot = lock_map(self).get(&id).and_then(|e| e.slot.clone());
+        let applied = match slot {
             Some(slot) => {
                 let mut locked = slot.lock().unwrap_or_else(|e| e.into_inner());
-                match locked.apply_replica_record(rec) {
-                    Ok(true) => {
-                        panda_obs::counter_add_labeled("repl.applied", &[("kind", "record")], 1);
-                    }
-                    Ok(false) => {} // duplicate already covered by a sync
-                    Err(msg) => {
-                        drop(locked);
-                        self.quarantine(id, &msg);
-                    }
-                }
+                locked.replay(rec)
             }
-            None => {
-                if self.quarantined(id) {
-                    return; // awaiting the resync that clears it
-                }
-                // Unknown session: only a create record is
-                // self-contained; anything else is a gap.
-                let mut replayer = persist::Replayer::new();
-                match replayer.apply(rec) {
-                    Ok(_) => match self.install_replica(id, replayer) {
-                        Ok(()) => {
-                            panda_obs::counter_add_labeled(
-                                "repl.applied",
-                                &[("kind", "record")],
-                                1,
-                            );
-                        }
-                        Err(msg) => self.quarantine(id, &msg),
-                    },
-                    Err(msg) => self.quarantine(id, &msg),
-                }
-            }
+            // Awaiting the resync that clears the quarantine.
+            None if self.quarantined(id) => return,
+            // Unknown session: only a create record is self-contained.
+            None => self
+                .rebuild(id, None, std::slice::from_ref(rec))
+                .map(|slot| {
+                    self.install(&mut lock_map(self), slot, false);
+                    true
+                }),
+        };
+        match applied {
+            Ok(true) => panda_obs::counter_add_labeled("repl.applied", &[("kind", "record")], 1),
+            Ok(false) => {} // duplicate already covered by a sync
+            Err(e) => self.quarantine(id, &e),
         }
     }
 
     /// Quarantine a session after a failed replication apply: the slot
     /// is dropped, reads answer 409, and a later full sync replaces it.
-    fn quarantine(&self, id: u64, msg: &str) {
-        let reason = if msg.contains("digest") {
-            "digest"
-        } else if msg.contains("gap") {
-            "gap"
-        } else {
-            "apply"
-        };
-        panda_obs::counter_add_labeled("repl.quarantines", &[("reason", reason)], 1);
-        eprintln!("panda-serve: session {id} quarantined ({msg}); awaiting full resync");
+    fn quarantine(&self, id: u64, err: &ReplayError) {
+        panda_obs::counter_add_labeled("repl.quarantines", &[("reason", err.reason())], 1);
+        eprintln!("panda-serve: session {id} quarantined ({err}); awaiting full resync");
         let mut map = lock_map(self);
         let entry = map.entry(id).or_insert_with(|| Entry {
             slot: None,
@@ -926,69 +908,26 @@ impl AppState {
         existed
     }
 
-    /// Install a handed-off session on this shard (the receiving side
-    /// of `/rebalance`). With a store the moved state is snapshotted
-    /// durably before this returns, and the session is announced to
-    /// this shard's own followers as a full sync.
-    pub fn adopt_handoff(&self, id: u64, replayer: persist::Replayer) -> Result<(), String> {
-        let persist::Replayer {
-            session,
-            request,
-            specs,
-            last_seq,
-        } = replayer;
-        let session = session.ok_or("handoff carries no session")?;
-        let request = request.ok_or("handoff carries no create request")?;
+    /// Install a handed-off session, rebuilt by [`AppState::rebuild`],
+    /// on this shard (the receiving side of `/rebalance`). With a store
+    /// the moved state is snapshotted durably before this returns, and
+    /// the session is announced to this shard's own followers as a full
+    /// sync.
+    pub fn adopt_handoff(&self, mut slot: SessionSlot) -> Result<(), String> {
+        let id = slot.id;
         if self.contains(id) {
             return Err(format!("session {id} already exists on this shard"));
         }
-        let persist_handle = match &self.store {
-            Some(store) => Some(store.adopt(id, &request, &session, specs.clone(), last_seq)?),
-            None => None,
-        };
-        let recipe = if persist_handle.is_none() {
-            Some(ReplayRecipe {
-                last_seq,
-                specs,
-                request,
-            })
-        } else {
-            None
-        };
-        let meta = SlotMeta::new(last_seq, session.matrix().digest());
-        let slot = Arc::new(Mutex::new(SessionSlot {
-            session,
-            persist: persist_handle,
-            recipe,
-            meta: Arc::clone(&meta),
-            id,
-            hub: Arc::clone(&self.hub),
-        }));
-        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-        {
-            let mut map = lock_map(self);
-            map.insert(
-                id,
-                Entry {
-                    slot: Some(Arc::clone(&slot)),
-                    last_touch: Instant::now(),
-                    recovered: false,
-                    quarantined: false,
-                    meta,
-                },
-            );
-            publish_live_gauge(&map);
+        if let Some(store) = &self.store {
+            slot.persist = Some(store.create(id)?);
+            slot.write_snapshot()?;
         }
+        let slot = self.install(&mut lock_map(self), slot, false);
         panda_obs::counter_add_labeled("repl.rebalance_moves", &[("direction", "in")], 1);
         if let Some(hub) = self.hub.get() {
             let locked = slot.lock().unwrap_or_else(|e| e.into_inner());
-            if let Ok(Some(snapshot)) = locked.sync_snapshot() {
-                if let Ok(frame) = serde_json::to_string(&ReplMsg::Sync {
-                    session: id,
-                    snapshot,
-                }) {
-                    hub.ship_sync_frame(frame);
-                }
+            if let Ok(Some(frame)) = locked.sync_frame() {
+                hub.ship_sync_frame(frame);
             }
         }
         self.enforce_capacity(Some(id));

@@ -273,6 +273,18 @@ fn driven_wal(dir: &std::path::Path) -> (u64, Vec<WalRecord>) {
     (id, records)
 }
 
+/// The process-wide `repl.quarantines{reason}` count (metrics must be
+/// enabled; the registry is shared by every test, so compare deltas).
+fn quarantines(reason: &str) -> u64 {
+    let snap = panda_obs::snapshot();
+    let series = vec![("reason".to_string(), reason.to_string())];
+    snap.labeled_counters
+        .get("repl.quarantines")
+        .and_then(|family| family.get(&series))
+        .copied()
+        .unwrap_or(0)
+}
+
 fn apply_records(state: &AppState, id: u64, records: &[WalRecord]) {
     for rec in records {
         state.apply_repl_frame(ReplMsg::Record {
@@ -306,6 +318,8 @@ fn shipped_records_rebuild_bit_identically_and_corruption_quarantines() {
 
     // A digest-corrupted record quarantines the session: reads answer
     // 409, the listing says so, and nothing crashes.
+    panda_obs::set_enabled(true);
+    let (digest0, gap0) = (quarantines("digest"), quarantines("gap"));
     let torn = AppState::new();
     apply_records(&torn, id, &records[..4]);
     let mut bad = records[4].clone();
@@ -315,6 +329,8 @@ fn shipped_records_rebuild_bit_identically_and_corruption_quarantines() {
         record: bad,
     });
     assert!(torn.quarantined(id), "digest mismatch must quarantine");
+    assert_eq!(quarantines("digest") - digest0, 1, "labelled reason=digest");
+    assert_eq!(quarantines("gap"), gap0);
     let resp = handle(&torn, &m);
     assert_eq!(resp.status, 409, "{}", resp.body);
     assert!(resp.body.contains("session_quarantined"), "{}", resp.body);
@@ -332,6 +348,8 @@ fn shipped_records_rebuild_bit_identically_and_corruption_quarantines() {
         record: records[2].clone(),
     });
     assert!(gapped.quarantined(id), "seq gap must quarantine");
+    assert_eq!(quarantines("gap") - gap0, 1, "labelled reason=gap");
+    assert_eq!(quarantines("digest") - digest0, 1);
 
     // A full sync (what the primary sends for a session missing from
     // the subscribe cursors) replaces the quarantined state wholesale.
@@ -354,6 +372,59 @@ fn shipped_records_rebuild_bit_identically_and_corruption_quarantines() {
         "resynced replica must be byte-identical"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn storeless_sessions_sync_to_a_replica_byte_identically() {
+    // No state dir: the session's recipe lives only in memory, and every
+    // edit kind (including an LF removal) must keep it in step.
+    let primary = AppState::new();
+    let resp = handle(&primary, &req("POST", "/sessions", &create_body()));
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let id = session_id(&resp);
+    for lf in [LF1, LF2] {
+        let resp = handle(&primary, &req("POST", &format!("/sessions/{id}/lfs"), lf));
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let edits = [
+        ("DELETE", format!("/sessions/{id}/lfs/name_overlap"), ""),
+        ("POST", format!("/sessions/{id}/fit"), ""),
+        (
+            "POST",
+            format!("/sessions/{id}/labels"),
+            r#"{"candidate":0,"is_match":true}"#,
+        ),
+    ];
+    for (method, path, body) in &edits {
+        let resp = handle(&primary, &req(method, path, body));
+        assert_eq!(resp.status, 200, "{method} {path}: {}", resp.body);
+    }
+
+    let replica = AppState::new();
+    let frames = primary.sync_frames(&[]);
+    assert_eq!(frames.len(), 1, "one sync frame for the one session");
+    for frame in frames {
+        let msg: ReplMsg = serde_json::from_str(&frame).map_err(|e| e.0).unwrap();
+        replica.apply_repl_frame(msg);
+    }
+    let m = req("POST", "/match", &match_request(id));
+    let (p_match, r_match) = (handle(&primary, &m), handle(&replica, &m));
+    assert_eq!(p_match.status, 200, "{}", p_match.body);
+    assert_eq!(
+        p_match.body, r_match.body,
+        "replica /match must be byte-identical"
+    );
+    let list = req("GET", "/sessions", "");
+    let p_list = handle(&primary, &list).body;
+    assert!(
+        p_list.contains("\"wal_seq\":6"),
+        "create + 5 edits: {p_list}"
+    );
+    assert_eq!(
+        p_list,
+        handle(&replica, &list).body,
+        "same wal_seq and digest"
+    );
 }
 
 #[test]
@@ -496,6 +567,12 @@ fn shard_ring_misdirects_foreign_sessions_with_421() {
 
     // B refuses A's session, naming the owner.
     let (status, body) = common::request(b.addr(), "GET", &format!("/sessions/{id}"), "");
+    assert_eq!(status, 421, "{body}");
+    assert!(body.contains("misdirected"), "{body}");
+    assert!(body.contains(&addr_a.to_string()), "{body}");
+
+    // DELETE is guarded the same way: B must not answer 404 for it.
+    let (status, body) = common::request(b.addr(), "DELETE", &format!("/sessions/{id}"), "");
     assert_eq!(status, 421, "{body}");
     assert!(body.contains("misdirected"), "{body}");
     assert!(body.contains(&addr_a.to_string()), "{body}");
