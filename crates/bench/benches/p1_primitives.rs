@@ -1,11 +1,12 @@
 //! **P1 — primitive throughput** (§2.1 feature 1.2): microbenchmarks of
 //! the utility-library building blocks every LF calls in its inner loop,
-//! plus the blocking primitives.
+//! plus the blocking primitives and the whole embedding-LSH blocking stage.
 //!
 //! Run: `cargo bench -p panda-bench --bench p1_primitives`
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use panda_embed::{HyperplaneLsh, TupleEmbedder};
+use panda_datasets::{generate, DatasetFamily, GeneratorConfig};
+use panda_embed::{Blocker, EmbeddingLshBlocker, HyperplaneLsh, TupleEmbedder};
 use panda_lf::{Label, PackedVotes};
 use panda_regex::Regex;
 use panda_text::preprocess::{apply_pipeline, standard_pipeline};
@@ -88,6 +89,18 @@ fn bench_embedding(c: &mut Criterion) {
     let v = embedder.embed_text(DESC);
     g.bench_function("lsh_signature_16x8", |b| {
         b.iter(|| black_box(lsh.signature(black_box(&v))));
+    });
+    // The whole blocking stage on the `deploy` benchmark's table shape:
+    // cora-dedup, 800 entities with up to 4 duplicates (~2k rows a side).
+    let cora = generate(
+        DatasetFamily::CoraDedup,
+        &GeneratorConfig::new(701)
+            .with_entities(800)
+            .with_right_dups(4),
+    );
+    let blocker = EmbeddingLshBlocker::new(701);
+    g.bench_function("candidates_cora_800x4", |b| {
+        b.iter(|| black_box(blocker.candidates(black_box(&cora))));
     });
     g.finish();
 }

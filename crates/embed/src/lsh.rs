@@ -15,8 +15,11 @@ pub struct HyperplaneLsh {
     dim: usize,
     bands: usize,
     bits_per_band: usize,
-    /// `bands × bits_per_band` hyperplane normals, row-major.
-    planes: Vec<Vec<f32>>,
+    /// The `bands × bits_per_band` hyperplane normals, stored
+    /// coordinate-major: entry `j * n_planes + p` is plane `p`'s
+    /// coefficient on coordinate `j`, so one nonzero coordinate updates
+    /// every plane's dot from one contiguous row.
+    planes: Vec<f32>,
 }
 
 impl HyperplaneLsh {
@@ -31,15 +34,15 @@ impl HyperplaneLsh {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let n = bands * bits_per_band;
-        let planes = (0..n)
-            .map(|_| {
-                // Rademacher ±1 normals are as good as Gaussian for SRP and
-                // cheaper to generate/apply.
-                (0..dim)
-                    .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
-                    .collect()
-            })
-            .collect();
+        // Sampled plane by plane (the seed fixes each plane), stored
+        // transposed. Rademacher ±1 normals are as good as Gaussian for
+        // SRP and cheaper to generate/apply.
+        let mut planes = vec![0.0f32; dim * n];
+        for p in 0..n {
+            for j in 0..dim {
+                planes[j * n + p] = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+            }
+        }
         HyperplaneLsh {
             dim,
             bands,
@@ -54,19 +57,30 @@ impl HyperplaneLsh {
     }
 
     /// Band signatures of a vector: one `u64` key per band.
+    ///
+    /// Each plane's dot sums its terms in coordinate order from `+0.0`,
+    /// skipping zero coordinates: their terms are `±1 · ±0.0 = ±0.0`.
+    /// From the first nonzero term on, every partial sum is the one a
+    /// dense sum would reach; before it, both are zeros, which the
+    /// `>= 0.0` sign test reads alike. So every bit is the dense one.
     pub fn signature(&self, v: &[f32]) -> Vec<u64> {
         assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        let mut sig = Vec::with_capacity(self.bands);
-        for band in 0..self.bands {
-            let mut key = 0u64;
-            for bit in 0..self.bits_per_band {
-                let plane = &self.planes[band * self.bits_per_band + bit];
-                let dot: f32 = plane.iter().zip(v).map(|(p, x)| p * x).sum();
-                key = (key << 1) | u64::from(dot >= 0.0);
+        let n = self.bands * self.bits_per_band;
+        let mut dots = vec![0.0f32; n];
+        for (j, &x) in v.iter().enumerate() {
+            if x == 0.0 {
+                continue;
             }
-            sig.push(key);
+            for (dot, &p) in dots.iter_mut().zip(&self.planes[j * n..][..n]) {
+                *dot += p * x;
+            }
         }
-        sig
+        dots.chunks(self.bits_per_band)
+            .map(|band| {
+                band.iter()
+                    .fold(0u64, |key, &dot| (key << 1) | u64::from(dot >= 0.0))
+            })
+            .collect()
     }
 
     /// Do two vectors collide in at least one band?

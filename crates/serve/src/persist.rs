@@ -15,9 +15,10 @@
 //! `persist.wal.fsync` span, so `/metrics` exposes its latency histogram
 //! for free). Records carry a monotonically increasing `seq` and the
 //! [`panda_lf::LabelMatrix::digest`] taken **after** applying the op, so
-//! replay can verify every step. A torn final line (crash mid-append) is
-//! dropped: its op was never acknowledged. Corruption anywhere else is
-//! an error — the session is quarantined instead of served wrong.
+//! replay can verify every step. A torn tail (bytes after the last
+//! newline: a crash mid-append) is dropped, and cut off before the WAL is
+//! appended to again: its op was never acknowledged. Corruption anywhere
+//! else is an error — the session is quarantined instead of served wrong.
 //!
 //! **Snapshots.** Every `snapshot_every` appended ops the session is
 //! dehydrated ([`panda_session::PandaSession::dehydrate`]) into
@@ -416,13 +417,26 @@ impl SessionStore {
     }
 
     /// Re-attach to a recovered session's WAL, appending after the
-    /// `replayed` records it already holds past the snapshot.
-    pub fn reopen(&self, id: u64, replayed: u64) -> Result<SessionPersist, String> {
-        self.handle(self.session_dir(id), false, replayed)
+    /// `replayed` records it already holds past the snapshot. The WAL is
+    /// first cut back to `wal_len`, its length up to the last complete
+    /// record as [`SessionStore::read`] found it, and the cut is fsynced:
+    /// a torn tail left in place would glue itself to the next record.
+    pub fn reopen(&self, id: u64, replayed: u64, wal_len: u64) -> Result<SessionPersist, String> {
+        let persist = self.handle(self.session_dir(id), false, replayed)?;
+        let cut = (|| -> std::io::Result<()> {
+            if persist.wal.metadata()?.len() > wal_len {
+                persist.wal.set_len(wal_len)?;
+                persist.wal.sync_data()?;
+            }
+            Ok(())
+        })();
+        cut.map_err(|e| format!("cut torn WAL tail in {}: {e}", persist.dir.display()))?;
+        Ok(persist)
     }
 
-    /// The snapshot and WAL records on disk for one session.
-    pub fn read(&self, id: u64) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+    /// The snapshot, WAL records and complete WAL length on disk for one
+    /// session.
+    pub fn read(&self, id: u64) -> Result<DiskParts, String> {
         read_parts(&self.session_dir(id))
     }
 
@@ -450,11 +464,21 @@ impl SessionStore {
     }
 }
 
+/// A session directory as read back: the snapshot, if any, the WAL
+/// records, and the WAL's length up to its last complete record.
+pub type DiskParts = (Option<SnapshotFile>, Vec<WalRecord>, u64);
+
 /// Read a session directory: the snapshot, if any, and every WAL record.
-/// A torn final WAL line (crash mid-append) is dropped: its op was never
-/// acknowledged. Any other unparsable line, or a gap between records in
-/// the file (even ones the snapshot covers), is corruption.
-fn read_parts(dir: &Path) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
+///
+/// A record is complete once its `\n` is on disk ([`SessionPersist::append`]
+/// writes the line, then the newline, then fsyncs, and only then
+/// acknowledges). Bytes after the last `\n` — half a line, or a whole
+/// JSON line whose newline never landed — are a torn tail from a crash
+/// mid-append: dropped, and left out of the returned length so
+/// [`SessionStore::reopen`] can cut them off. Any complete line that does
+/// not parse, or a gap between records in the file (even ones the
+/// snapshot covers), is corruption.
+fn read_parts(dir: &Path) -> Result<DiskParts, String> {
     let snap_path = dir.join(SNAPSHOT_FILE);
     let snapshot = if snap_path.exists() {
         let text = fs::read_to_string(&snap_path)
@@ -465,22 +489,21 @@ fn read_parts(dir: &Path) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), Stri
     };
     let wal_path = dir.join(WAL_FILE);
     let mut records: Vec<WalRecord> = Vec::new();
+    let mut complete = 0;
     if wal_path.exists() {
-        let text = fs::read_to_string(&wal_path)
+        let bytes = fs::read(&wal_path).map_err(|e| format!("read {}: {e}", wal_path.display()))?;
+        complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if complete < bytes.len() {
+            panda_obs::counter_add("persist.wal.torn_tail", 1);
+        }
+        let text = std::str::from_utf8(&bytes[..complete])
             .map_err(|e| format!("read {}: {e}", wal_path.display()))?;
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
+        for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let rec: WalRecord = match serde_json::from_str(line) {
-                Ok(rec) => rec,
-                Err(_) if i + 1 == lines.len() => {
-                    panda_obs::counter_add("persist.wal.torn_tail", 1);
-                    break;
-                }
-                Err(e) => return Err(format!("WAL line {}: {}", i + 1, e.0)),
-            };
+            let rec: WalRecord =
+                serde_json::from_str(line).map_err(|e| format!("WAL line {}: {}", i + 1, e.0))?;
             if let Some(prev) = records.last() {
                 if rec.seq != prev.seq + 1 {
                     return Err(format!("WAL gap: record {} follows {}", rec.seq, prev.seq));
@@ -489,7 +512,7 @@ fn read_parts(dir: &Path) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), Stri
             records.push(rec);
         }
     }
-    Ok((snapshot, records))
+    Ok((snapshot, records, complete as u64))
 }
 
 /// Per-session persistence handle over the session directory: appends
@@ -578,7 +601,7 @@ impl SessionPersist {
     /// Read the on-disk snapshot + WAL records back for a cross-shard
     /// handoff. Runs under the session lock, so the files are quiescent.
     pub fn read_back(&self) -> Result<(Option<SnapshotFile>, Vec<WalRecord>), String> {
-        read_parts(&self.dir)
+        read_parts(&self.dir).map(|(snapshot, records, _)| (snapshot, records))
     }
 }
 

@@ -481,14 +481,14 @@ impl AppState {
     fn recover(&self, id: u64) -> Result<SessionSlot, String> {
         let store = self.store.as_ref().ok_or("no state directory")?;
         let _span = panda_obs::span("persist.session.recover");
-        let (snapshot, records) = store.read(id)?;
+        let (snapshot, records, wal_len) = store.read(id)?;
         let base = snapshot.as_ref().map_or(0, |s| s.last_seq);
         let mut slot = self
             .rebuild(id, snapshot, &records)
             .map_err(|e| e.to_string())?;
         // Replay is contiguous, so the records applied past the snapshot
         // are exactly the seqs it advanced by.
-        slot.persist = Some(store.reopen(id, slot.wal_seq() - base)?);
+        slot.persist = Some(store.reopen(id, slot.wal_seq() - base, wal_len)?);
         Ok(slot)
     }
 

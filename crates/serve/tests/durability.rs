@@ -203,24 +203,61 @@ fn kill_between_append_and_compaction_recovers_bit_identically() {
 
 #[test]
 fn torn_wal_tail_is_dropped_not_fatal() {
-    let dir = state_dir("torn");
-    let (pre_digest, pre_snapshot) = {
-        let state = open(&dir, 0, 0); // never compact: everything in the WAL
-        let id = drive_session(&state);
-        (matrix_digest(&state, id), snapshot_body(&state, id))
-    };
-    // Simulate a crash mid-append: half a record at the end of the WAL.
-    // That op was never acknowledged, so recovery must drop it and land
-    // on the pre-append state.
-    let wal_path = dir.join("sessions").join("1").join("wal.jsonl");
-    let mut wal = std::fs::read_to_string(&wal_path).unwrap();
-    wal.push_str("{\"seq\":6,\"digest\":123,\"op\":{\"Fi");
-    std::fs::write(&wal_path, wal).unwrap();
+    // Two crashes mid-append: half a record, and a whole record whose
+    // newline never landed (append writes the line, then the newline,
+    // then fsyncs). Neither op was acknowledged, so recovery must drop
+    // it and land on the pre-append state.
+    for tag in ["half", "unterminated"] {
+        let dir = state_dir(&format!("torn-{tag}"));
+        let (pre_digest, pre_snapshot) = {
+            let state = open(&dir, 0, 0); // never compact: everything in the WAL
+            let id = drive_session(&state);
+            (matrix_digest(&state, id), snapshot_body(&state, id))
+        };
+        let wal_path = dir.join("sessions").join("1").join("wal.jsonl");
+        let acked = std::fs::read_to_string(&wal_path).unwrap();
+        let tail = if tag == "half" {
+            "{\"seq\":6,\"digest\":123,\"op\":{\"Fi".to_string()
+        } else {
+            let last = acked.trim_end().lines().last().unwrap();
+            assert!(last.contains("\"seq\":5"), "{last}");
+            last.replace("\"seq\":5", "\"seq\":6")
+        };
+        std::fs::write(&wal_path, acked.clone() + &tail).unwrap();
 
-    let state = open(&dir, 0, 0);
-    assert_eq!(matrix_digest(&state, 1), pre_digest);
-    assert_eq!(snapshot_body(&state, 1), pre_snapshot);
-    let _ = std::fs::remove_dir_all(&dir);
+        let (post_match, post_snapshot) = {
+            let state = open(&dir, 0, 0);
+            assert_eq!(matrix_digest(&state, 1), pre_digest, "{tag}");
+            assert_eq!(snapshot_body(&state, 1), pre_snapshot, "{tag}");
+            // An acknowledged edit after recovery must land as a record
+            // of its own, not glued onto the dropped fragment.
+            let pre_match = match_body(&state, 1);
+            let lf = r#"{"name":"name_overlap","kind":"similarity","attr":"name","upper":0.99,"lower":0.98}"#;
+            let resp = handle(&state, &req("POST", "/sessions/1/lfs", lf));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let post_match = match_body(&state, 1);
+            assert_ne!(post_match, pre_match, "the edit must move the scores");
+            (post_match, snapshot_body(&state, 1))
+        };
+        let wal = std::fs::read_to_string(&wal_path).unwrap();
+        let appended = wal.strip_prefix(&acked).expect("acknowledged records kept");
+        let record: Result<panda_serve::persist::WalRecord, _> =
+            serde_json::from_str(appended.trim_end());
+        assert!(
+            appended.ends_with('\n') && record.is_ok_and(|r| r.seq == 6),
+            "{tag}: the edit's record is not whole: {appended:?}"
+        );
+
+        let state = open(&dir, 0, 0);
+        assert!(!state.quarantined(1), "{tag}: second recovery quarantined");
+        assert_eq!(
+            match_body(&state, 1),
+            post_match,
+            "{tag}: the edit was lost"
+        );
+        assert_eq!(snapshot_body(&state, 1), post_snapshot, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

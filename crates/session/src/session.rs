@@ -7,7 +7,7 @@ use crate::panels::{DataViewerRow, EmStats, SessionSnapshot};
 use crate::persist::{self, SessionState};
 use crate::sampling;
 use panda_autolf::{generate_auto_lfs, AutoLfConfig};
-use panda_embed::{cosine, Blocker, EmbeddingLshBlocker};
+use panda_embed::{Blocker, EmbeddingLshBlocker};
 use panda_eval::metrics::{metrics_at_half, Metrics};
 use panda_lf::lf::LfProvenance;
 use panda_lf::{lf_stats, ApplyReport, BoxedLf, LabelMatrix, LfRegistry, LfStatsRow};
@@ -128,15 +128,9 @@ impl PandaSession {
         let mut blocker = EmbeddingLshBlocker::new(config.seed);
         blocker.min_cosine = config.blocking_min_cosine;
         blocker.max_per_record = config.blocking_max_per_record;
-        let candidates = blocker.candidates(tables);
-        // Likelihood = embedding cosine (reusing the blocking embeddings).
-        let (lvecs, rvecs) = blocker.embed_tables(tables);
-        let likelihood: Vec<f64> = candidates
-            .pairs()
-            .iter()
-            .map(|p| f64::from(cosine(&lvecs[p.left.idx()], &rvecs[p.right.idx()])))
-            .collect();
-        (candidates, likelihood)
+        // Likelihood = embedding cosine, as blocking computed it.
+        let (candidates, cosines) = blocker.block(tables);
+        (candidates, cosines.into_iter().map(f64::from).collect())
     }
 
     /// Step 1: load a dataset — block, discover auto LFs, apply, fit.

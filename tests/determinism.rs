@@ -62,11 +62,12 @@ fn different_blocking_seed_changes_candidates_not_correctness() {
     );
 }
 
-/// The parallel-execution layer must be invisible in the output: auto-LF
-/// generation and label-matrix application are byte-identical whether the
-/// executor runs serial (`PANDA_WORKERS=1`) or with a thread pool. The
-/// `PANDA_WORKERS` env var is read once per process, so the programmatic
-/// override is the test mechanism for flipping the worker count.
+/// The parallel-execution layer must be invisible in the output:
+/// blocking, auto-LF generation and label-matrix application are
+/// byte-identical whether the executor runs serial (`PANDA_WORKERS=1`) or
+/// with a thread pool. The `PANDA_WORKERS` env var is read once per
+/// process, so the programmatic override is the test mechanism for
+/// flipping the worker count.
 #[test]
 fn worker_count_never_changes_results() {
     let task = generate(
@@ -74,9 +75,19 @@ fn worker_count_never_changes_results() {
         &GeneratorConfig::new(77).with_entities(120),
     );
 
+    // Blocking probes left records in fixed-size chunks: this task's
+    // left table spans several of them.
+    let wide = generate(
+        DatasetFamily::AbtBuy,
+        &GeneratorConfig::new(78).with_entities(700),
+    );
+    assert!(wide.left.len() > 2 * panda::embed::blocking::PROBE_CHUNK);
+
     #[derive(Debug, PartialEq)]
     struct Observed {
         candidates: Vec<CandidatePair>,
+        wide_candidates: Vec<CandidatePair>,
+        wide_cosines: Vec<u32>,
         lfs: Vec<(String, String, String, String, u64, u64, usize)>,
         columns: Vec<(String, Vec<i8>)>,
         triangles: usize,
@@ -84,6 +95,7 @@ fn worker_count_never_changes_results() {
     let run = |workers: usize| -> Observed {
         panda::exec::set_worker_override(Some(workers));
         let cands = EmbeddingLshBlocker::new(7).candidates(&task);
+        let (wide_cands, wide_cosines) = EmbeddingLshBlocker::new(7).block(&wide);
         let generated = generate_auto_lfs(&task, &cands, &AutoLfConfig::default());
         let lfs = generated
             .iter()
@@ -123,6 +135,8 @@ fn worker_count_never_changes_results() {
         panda::exec::set_worker_override(None);
         Observed {
             candidates: cands.pairs().to_vec(),
+            wide_candidates: wide_cands.pairs().to_vec(),
+            wide_cosines: wide_cosines.iter().map(|c| c.to_bits()).collect(),
             lfs,
             columns,
             triangles,
